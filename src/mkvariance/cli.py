@@ -28,7 +28,7 @@ from .bell import (
     max_mk_mean,
     mk_pair,
 )
-from .criterion import DECISION_TAU, OptimizerConfig, decide, variance
+from .criterion import DECISION_TAU, OptimizerConfig, check_tau, decide, variance
 from .linalg import DENSE_QUBIT_CAP, MAX_QUBITS, PureState
 from .oracle import is_product_oracle, random_product_state, random_state
 
@@ -69,11 +69,15 @@ def _emit(obj: dict, indent: int | None) -> None:
 
 
 def _config_from_args(args) -> OptimizerConfig:
+    """The optimizer config of the common options; ValueError if one of
+    them, ``--tau`` included, is out of range."""
+    check_tau(args.tau)
     return OptimizerConfig(seed=args.seed, starts=args.starts)
 
 
 def _cmd_decide(args) -> int:
     try:
+        config = _config_from_args(args)
         psi, deviation = load_state_file(args.state_file)
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -81,7 +85,7 @@ def _cmd_decide(args) -> int:
     if psi.n < 2:
         print("error: the decision requires n >= 2", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    report = decide(psi, _config_from_args(args), tau=args.tau)
+    report = decide(psi, config, tau=args.tau)
     oracle = is_product_oracle(psi)
     _emit(
         {
@@ -102,7 +106,11 @@ def _cmd_ghz_scan(args) -> int:
     if args.points < 2:
         print("error: need at least 2 grid points", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    config = _config_from_args(args)
+    try:
+        config = _config_from_args(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     op = canonical_mk(args.n).bell
     rows = []
     for phi in np.linspace(0.0, math.pi / 4, args.points):

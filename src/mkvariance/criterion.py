@@ -11,11 +11,19 @@ objective restricted to one qubit is A + B cos(theta) + C sin(theta) cos(chi
 ascent over these exact updates is therefore monotone per iteration and
 deterministic given the seed.  Residual overlap phases are removed
 afterwards by a diagonal phase gate on qubit 1.
+
+All starts ascend together as one batch.  A sweep builds the Kronecker
+products of the rows of the qubits still to be updated once, and carries
+the state contracted with the rows already updated, so it costs O(S 2**n)
+for S starts.  A start leaves the batch as soon as its own stopping rule
+fires.  Starts run in chunks of 2**18 // 2**n, which bounds the working
+memory at large n.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +33,16 @@ from .linalg import DENSE_QUBIT_CAP, PureState, apply_single_qubit, kron
 
 DECISION_TAU = 1e-6
 UNITARY_TOL = 1e-10
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_tau(tau: float) -> None:
+    """Rejects a decision threshold that is not finite or not in [0, 1)."""
+    if not (math.isfinite(tau) and 0.0 <= tau < 1.0):
+        raise ValueError(f"tau must be finite and in [0, 1), got {tau!r}")
 
 
 @dataclass(frozen=True)
@@ -41,12 +59,15 @@ class OptimizerConfig:
     value_tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.starts is not None and self.starts < 1:
-            raise ValueError("starts must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.step_tolerance <= 0 or self.value_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.starts is not None and not (_is_integer(self.starts) and self.starts >= 1):
+            raise ValueError(f"starts must be an integer >= 1, got {self.starts!r}")
+        if not (_is_integer(self.max_iterations) and self.max_iterations >= 1):
+            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
+        for tol in (self.step_tolerance, self.value_tolerance):
+            if not (tol > 0) or not math.isfinite(tol):
+                raise ValueError(f"tolerances must be positive and finite, got {tol!r}")
 
     def resolved_starts(self, n: int) -> int:
         return self.starts if self.starts is not None else max(32, 8 * n)
@@ -220,84 +241,107 @@ def localize_product(factors) -> LocalUnitary:
 
 
 # ---------------------------------------------------------------------------
-# Block-coordinate ascent over the 2n angles.
+# Block-coordinate ascent over the 2n angles, all starts at once.
 #
 # Qubit j is parameterized by the state xi_j = (cos(t/2), e^{i chi} sin(t/2))
 # that its factor maps to |0>; the factor itself is
-#     U_j = [[conj(xi_0), conj(xi_1)], [-xi_1, xi_0]].
+#     U_j = [[conj(xi_0), conj(xi_1)], [-xi_1, xi_0]],
+# whose row 0 builds <0..0|U psi> and row 1 builds <1..1|U psi>.  A batch of
+# S starts carries xis of shape (S, n, 2) and rows of shape (S, n, 2, 2),
+# indexed [start, qubit, overlap, component].
 # ---------------------------------------------------------------------------
 
-
-def _xi_from_angles(theta: float, chi: float) -> np.ndarray:
-    return np.array([math.cos(theta / 2), np.exp(1j * chi) * math.sin(theta / 2)])
-
-
-def _factor_from_xi(xi: np.ndarray) -> np.ndarray:
-    return np.array([[xi[0].conj(), xi[1].conj()], [-xi[1], xi[0]]])
+# Starts are ascended in chunks of 2**18 // 2**n (at least one), which keeps
+# a sweep's suffix and left-contracted arrays to a few MB at any n.
+_CHUNK_AMPLITUDES = 2**18
 
 
-def _rows(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return xi.conj(), np.array([-xi[1], xi[0]])
+def _xis_from_angles(thetas: np.ndarray, chis: np.ndarray) -> np.ndarray:
+    return np.stack([np.cos(thetas / 2), np.exp(1j * chis) * np.sin(thetas / 2)], axis=-1)
 
 
-def _objective_from_xis(t: np.ndarray, xis: list[np.ndarray]) -> float:
-    t0 = t
-    t1 = t
-    for xi in xis:
-        r0, r1 = _rows(xi)
-        t0 = np.tensordot(r0, t0, axes=([0], [0]))
-        t1 = np.tensordot(r1, t1, axes=([0], [0]))
-    return abs(complex(t0)) ** 2 + abs(complex(t1)) ** 2
+def _rows(xis: np.ndarray) -> np.ndarray:
+    """The factors U_j for xis of shape (..., 2), as arrays of shape (..., 2, 2)."""
+    return np.stack([xis.conj(), np.stack([-xis[..., 1], xis[..., 0]], axis=-1)], axis=-2)
 
 
-def _block_update(t: np.ndarray, xis: list[np.ndarray], j: int) -> tuple[np.ndarray, float, float]:
-    """Exact maximization over qubit j's two angles, all other qubits fixed.
+def _objective(t: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """|<0..0|U psi>|^2 + |<1..1|U psi>|^2 for each start of the batch."""
+    left = t.reshape(1, 1, -1)
+    for rows in np.moveaxis(_rows(xis), 1, 0):
+        left = (rows[:, :, None, :] @ left.reshape(left.shape[0], left.shape[1], 2, -1))[:, :, 0, :]
+    return np.sum(np.abs(left[:, :, 0]) ** 2, axis=1)
 
-    Contracting every other qubit leaves two 2-vectors m0, m1 with
-    a = row0_j . m0 and b = row1_j . m1; the objective reduces to
-    (P+Q)/2 + (P-Q)/2 cos(theta) + |G| sin(theta) at the optimal chi.
-    Returns (new xi, new objective value, parameter step size).
+
+def _block_update(m: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact maximization over one qubit's two angles, all other qubits fixed.
+
+    Contracting every other qubit leaves two 2-vectors per start, m0 = m[:, 0]
+    and m1 = m[:, 1], with a = row0 . m0 and b = row1 . m1; the objective
+    reduces to (P+Q)/2 + (P-Q)/2 cos(theta) + |G| sin(theta) at the optimal
+    chi.  Returns the new xis, objective values and parameter step sizes.
     """
-    t0 = t
-    t1 = t
-    axis = 0
-    for k, xi in enumerate(xis):
-        if k == j:
-            axis = 1
-            continue
-        r0, r1 = _rows(xi)
-        t0 = np.tensordot(r0, t0, axes=([0], [axis]))
-        t1 = np.tensordot(r1, t1, axes=([0], [axis]))
-    m0 = t0.reshape(2)
-    m1 = t1.reshape(2)
-    p = abs(m0[0]) ** 2 + abs(m1[1]) ** 2
-    q = abs(m0[1]) ** 2 + abs(m1[0]) ** 2
-    g = m0[1] * np.conj(m0[0]) - np.conj(m1[0]) * m1[1]
-    radius = math.hypot((p - q) / 2.0, abs(g))
-    if radius < 1e-300:
-        return xis[j], (p + q) / 2.0, 0.0
-    chi = float(np.angle(g))
-    theta = math.atan2(abs(g), (p - q) / 2.0)
-    xi_new = _xi_from_angles(theta, chi)
-    step = float(np.linalg.norm(xi_new - xis[j]))
-    return xi_new, (p + q) / 2.0 + radius, step
+    m0, m1 = m[:, 0], m[:, 1]
+    p = np.abs(m0[:, 0]) ** 2 + np.abs(m1[:, 1]) ** 2
+    q = np.abs(m0[:, 1]) ** 2 + np.abs(m1[:, 0]) ** 2
+    g = m0[:, 1] * np.conj(m0[:, 0]) - np.conj(m1[:, 0]) * m1[:, 1]
+    radius = np.hypot((p - q) / 2.0, np.abs(g))
+    xi_new = _xis_from_angles(np.arctan2(np.abs(g), (p - q) / 2.0), np.angle(g))
+    flat = radius < 1e-300
+    xi_new[flat] = xi[flat]
+    radius[flat] = 0.0
+    return xi_new, (p + q) / 2.0 + radius, np.linalg.norm(xi_new - xi, axis=-1)
+
+
+def _sweep(t: np.ndarray, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass of block updates over qubits 1..n for every start of the batch.
+
+    The Kronecker products of the old rows of qubits k > j are built once;
+    the rows of qubits k < j enter through the running left-contracted
+    tensor, so the pass costs O(S 2**n).  Returns the new xis, each start's
+    objective after its last update, and each start's largest step.
+    """
+    s, n, _ = xis.shape
+    rows = _rows(xis)
+    suffix = [np.ones((s, 2, 1), dtype=complex)]
+    for j in range(n - 1, 0, -1):
+        suffix.append((rows[:, j, :, :, None] * suffix[-1][:, :, None, :]).reshape(s, 2, -1))
+    suffix.reverse()
+    out = np.empty_like(xis)
+    largest_step = np.zeros(s)
+    left = t.reshape(1, 1, -1)
+    for j in range(n):
+        block = left.reshape(left.shape[0], left.shape[1], 2, -1)
+        m = (block @ suffix[j][..., None])[..., 0]
+        out[:, j], value, step = _block_update(m, xis[:, j])
+        largest_step = np.maximum(largest_step, step)
+        left = (_rows(out[:, j])[:, :, None, :] @ block)[:, :, 0, :]
+    return out, value, largest_step
 
 
 def _ascend(
-    t: np.ndarray, xis: list[np.ndarray], cfg: OptimizerConfig
-) -> tuple[list[np.ndarray], float, list[float]]:
-    """Sweep exact block updates until converged; returns per-sweep values."""
-    value = _objective_from_xis(t, xis)
-    history = [value]
+    t: np.ndarray, xis: np.ndarray, cfg: OptimizerConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sweeps each start until its own stopping rule fires.
+
+    A start stops once a sweep raises its value by less than
+    ``value_tolerance``, moves no parameter by ``step_tolerance``, or is its
+    ``max_iterations``-th; stopped starts leave the batch.  Returns the final
+    xis, values and sweep counts.
+    """
+    xis = xis.copy()
+    values = _objective(t, xis)
+    sweeps = np.zeros(len(xis), dtype=int)
+    active = np.arange(len(xis))
     for _ in range(cfg.max_iterations):
-        largest_step = 0.0
-        for j in range(len(xis)):
-            xis[j], value, step = _block_update(t, xis, j)
-            largest_step = max(largest_step, step)
-        history.append(value)
-        if value - history[-2] < cfg.value_tolerance or largest_step < cfg.step_tolerance:
+        new, value, largest_step = _sweep(t, xis[active])
+        done = (value - values[active] < cfg.value_tolerance) | (largest_step < cfg.step_tolerance)
+        xis[active], values[active] = new, value
+        sweeps[active] += 1
+        active = active[~done]
+        if active.size == 0:
             break
-    return xis, value, history
+    return xis, values, sweeps
 
 
 def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) -> ObjectiveResult:
@@ -305,9 +349,10 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
 
     The identity is always start 0, so the result never falls below the
     identity's converged value.  Remaining starts use seeded uniform random
-    angles (theta in [0, pi], chi in [0, 2 pi)).  Among starts whose values
-    agree to 1e-12 the lowest start index wins, which makes the result
-    independent of evaluation order.
+    angles (theta in [0, pi], chi in [0, 2 pi)).  All starts ascend together
+    in chunks of 2**18 // 2**n.  Among starts whose values agree to 1e-12
+    the lowest start index wins, which makes the result independent of
+    evaluation order.
     """
     cfg = config if config is not None else OptimizerConfig()
     n = psi.n
@@ -315,41 +360,32 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
         raise ValueError("objective maximization requires n >= 2")
     starts = cfg.resolved_starts(n)
     rng = np.random.default_rng(cfg.seed)
+    angles = np.zeros((starts, 2, n))  # start 0 has all angles 0: the identity
+    for k in range(1, starts):
+        angles[k, 0] = rng.uniform(0.0, math.pi, size=n)
+        angles[k, 1] = rng.uniform(0.0, 2 * math.pi, size=n)
+    xis = _xis_from_angles(angles[:, 0], angles[:, 1])
+    values = np.empty(starts)
+    sweeps = np.empty(starts, dtype=int)
     t = psi.tensor()
+    chunk = max(1, _CHUNK_AMPLITUDES >> n)
+    for lo in range(0, starts, chunk):
+        part = slice(lo, lo + chunk)
+        xis[part], values[part], sweeps[part] = _ascend(t, xis[part], cfg)
 
-    best_value = -1.0
-    best_xis: list[np.ndarray] | None = None
-    best_start = -1
-    best_iterations = 0
-    identity_value = 0.0
-
-    for start in range(starts):
-        if start == 0:
-            xis = [np.array([1.0 + 0.0j, 0.0 + 0.0j]) for _ in range(n)]
-        else:
-            thetas = rng.uniform(0.0, math.pi, size=n)
-            chis = rng.uniform(0.0, 2 * math.pi, size=n)
-            xis = [_xi_from_angles(th, ch) for th, ch in zip(thetas, chis)]
-        xis, value, history = _ascend(t, xis, cfg)
-        if start == 0:
-            identity_value = value
-        if value > best_value + 1e-12:
-            best_value = value
-            best_xis = xis
-            best_start = start
-            best_iterations = len(history) - 1
-
-    assert best_xis is not None
-    unitary = LocalUnitary(factors=tuple(_factor_from_xi(xi) for xi in best_xis))
-    unitary = phase_fix(psi, unitary)
+    best = 0
+    for start in range(1, starts):
+        if values[start] > values[best] + 1e-12:
+            best = start
+    unitary = phase_fix(psi, LocalUnitary(factors=tuple(_rows(xis[best]))))
     return ObjectiveResult(
         unitary=unitary,
-        value=float(best_value),
+        value=float(values[best]),
         metadata=OptimizerMetadata(
             starts=starts,
-            iterations=best_iterations,
-            best_start=best_start,
-            identity_value=float(identity_value),
+            iterations=int(sweeps[best]),
+            best_start=best,
+            identity_value=float(values[0]),
         ),
     )
 
@@ -365,8 +401,10 @@ def decide(
     MK operator on the rotated state, and declares the state entangled when
     the variance falls short of its ceiling 2**(n-1) by more than
     ``tau * 2**(n-1)``.  The margin is reported either way so near-threshold
-    states can be inspected by the caller.
+    states can be inspected by the caller.  ``tau`` must be finite and in
+    [0, 1).
     """
+    check_tau(tau)
     result = maximize_objective(psi, config)
     rotated = result.unitary.apply(psi.amplitudes)
     alpha = float(rotated[0].real)

@@ -1,0 +1,170 @@
+"""The batched multi-start ascent against the literal per-start reference.
+
+The reference below is the original implementation: one start at a time,
+each block update re-contracting the whole state tensor with
+``np.tensordot``.  ``maximize_objective`` must reproduce its best start and
+that start's sweep count exactly, and its values and phase-fixed end
+overlaps to 1e-12.  Factors are not compared: on product states the phase
+fix picks up the phase of a roundoff-level overlap, so factors may differ
+while U psi agrees.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from mkvariance import (
+    LocalUnitary,
+    OptimizerConfig,
+    generalized_ghz,
+    maximize_objective,
+    phase_fix,
+    random_product_state,
+    random_state,
+)
+
+# --- reference: the per-start ascent -------------------------------------
+
+
+def _xi_from_angles(theta: float, chi: float) -> np.ndarray:
+    return np.array([math.cos(theta / 2), np.exp(1j * chi) * math.sin(theta / 2)])
+
+
+def _factor_from_xi(xi: np.ndarray) -> np.ndarray:
+    return np.array([[xi[0].conj(), xi[1].conj()], [-xi[1], xi[0]]])
+
+
+def _rows(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return xi.conj(), np.array([-xi[1], xi[0]])
+
+
+def _objective_from_xis(t: np.ndarray, xis: list[np.ndarray]) -> float:
+    t0 = t
+    t1 = t
+    for xi in xis:
+        r0, r1 = _rows(xi)
+        t0 = np.tensordot(r0, t0, axes=([0], [0]))
+        t1 = np.tensordot(r1, t1, axes=([0], [0]))
+    return abs(complex(t0)) ** 2 + abs(complex(t1)) ** 2
+
+
+def _block_update(t: np.ndarray, xis: list[np.ndarray], j: int) -> tuple[np.ndarray, float, float]:
+    t0 = t
+    t1 = t
+    axis = 0
+    for k, xi in enumerate(xis):
+        if k == j:
+            axis = 1
+            continue
+        r0, r1 = _rows(xi)
+        t0 = np.tensordot(r0, t0, axes=([0], [axis]))
+        t1 = np.tensordot(r1, t1, axes=([0], [axis]))
+    m0 = t0.reshape(2)
+    m1 = t1.reshape(2)
+    p = abs(m0[0]) ** 2 + abs(m1[1]) ** 2
+    q = abs(m0[1]) ** 2 + abs(m1[0]) ** 2
+    g = m0[1] * np.conj(m0[0]) - np.conj(m1[0]) * m1[1]
+    radius = math.hypot((p - q) / 2.0, abs(g))
+    if radius < 1e-300:
+        return xis[j], (p + q) / 2.0, 0.0
+    chi = float(np.angle(g))
+    theta = math.atan2(abs(g), (p - q) / 2.0)
+    xi_new = _xi_from_angles(theta, chi)
+    step = float(np.linalg.norm(xi_new - xis[j]))
+    return xi_new, (p + q) / 2.0 + radius, step
+
+
+def _ascend(
+    t: np.ndarray, xis: list[np.ndarray], cfg: OptimizerConfig
+) -> tuple[list[np.ndarray], float, list[float]]:
+    value = _objective_from_xis(t, xis)
+    history = [value]
+    for _ in range(cfg.max_iterations):
+        largest_step = 0.0
+        for j in range(len(xis)):
+            xis[j], value, step = _block_update(t, xis, j)
+            largest_step = max(largest_step, step)
+        history.append(value)
+        if value - history[-2] < cfg.value_tolerance or largest_step < cfg.step_tolerance:
+            break
+    return xis, value, history
+
+
+def reference_maximize(psi, cfg):
+    """(phase-fixed unitary, value, best_start, best start's sweeps, identity value)."""
+    n = psi.n
+    rng = np.random.default_rng(cfg.seed)
+    t = psi.tensor()
+    best_value, best_xis, best_start, best_iterations = -1.0, None, -1, 0
+    identity_value = 0.0
+    for start in range(cfg.resolved_starts(n)):
+        if start == 0:
+            xis = [np.array([1.0 + 0.0j, 0.0 + 0.0j]) for _ in range(n)]
+        else:
+            thetas = rng.uniform(0.0, math.pi, size=n)
+            chis = rng.uniform(0.0, 2 * math.pi, size=n)
+            xis = [_xi_from_angles(th, ch) for th, ch in zip(thetas, chis)]
+        xis, value, history = _ascend(t, xis, cfg)
+        if start == 0:
+            identity_value = value
+        if value > best_value + 1e-12:
+            best_value, best_xis, best_start = value, xis, start
+            best_iterations = len(history) - 1
+    unitary = LocalUnitary(factors=tuple(_factor_from_xi(xi) for xi in best_xis))
+    return phase_fix(psi, unitary), best_value, best_start, best_iterations, identity_value
+
+
+# --- equivalence ---------------------------------------------------------
+
+
+def assert_matches_reference(psi, cfg):
+    unitary, value, best_start, iterations, identity_value = reference_maximize(psi, cfg)
+    result = maximize_objective(psi, cfg)
+    assert result.metadata.best_start == best_start
+    assert result.metadata.iterations == iterations
+    assert result.metadata.starts == cfg.resolved_starts(psi.n)
+    assert result.value == pytest.approx(value, abs=1e-12)
+    assert result.metadata.identity_value == pytest.approx(identity_value, abs=1e-12)
+    expected = unitary.apply(psi.amplitudes)
+    got = result.unitary.apply(psi.amplitudes)
+    assert abs(got[0] - expected[0]) <= 1e-12
+    assert abs(got[-1] - expected[-1]) <= 1e-12
+
+
+STATES = (
+    [pytest.param(("haar", n, 300 * n + k), id=f"haar-n{n}-{k}") for n in range(2, 7) for k in range(2)]
+    + [pytest.param(("product", n, 500 * n + k), id=f"product-n{n}-{k}") for n in range(2, 7) for k in range(2)]
+    + [pytest.param(("ghz", n, phi), id=f"ghz-n{n}-{phi:.3f}") for n in (2, 3, 5) for phi in (0.2, math.pi / 4)]
+)
+
+
+def make_state(kind, n, arg):
+    if kind == "haar":
+        return random_state(n, arg)
+    if kind == "product":
+        return random_product_state(n, arg)
+    return generalized_ghz(n, arg)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("spec", STATES)
+def test_batched_ascent_matches_reference(spec, seed):
+    assert_matches_reference(make_state(*spec), OptimizerConfig(seed=seed))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_batched_ascent_matches_reference_at_iteration_cap(n):
+    # With a cap of 3 sweeps most Haar starts stop at the cap while others
+    # have already converged, so the batch shrinks unevenly.
+    cfg = OptimizerConfig(seed=1, max_iterations=3)
+    psi = random_state(n, 4242 + n)
+    assert_matches_reference(psi, cfg)
+    assert maximize_objective(psi, cfg).metadata.iterations <= 3
+
+
+def test_batched_ascent_matches_reference_across_chunks():
+    # n = 12 takes 96 starts by default and chunks of 2**18 // 2**12 = 64.
+    psi = random_product_state(12, 12)
+    assert OptimizerConfig().resolved_starts(12) > 2**18 // 2**12
+    assert_matches_reference(psi, OptimizerConfig(seed=0))

@@ -72,6 +72,24 @@ def test_decide_rejects_malformed_json(tmp_path, capsys):
     assert err
 
 
+BAD_OPTIONS = [
+    pytest.param(["--starts", "0"], "starts", id="starts-0"),
+    pytest.param(["--seed", "-1"], "seed", id="seed-neg"),
+    pytest.param(["--tau", "-1"], "tau", id="tau-neg"),
+    pytest.param(["--tau", "nan"], "tau", id="tau-nan"),
+]
+
+
+@pytest.mark.parametrize("option, word", BAD_OPTIONS)
+def test_decide_rejects_bad_option(tmp_path, capsys, option, word):
+    path = state_file(tmp_path, generalized_ghz(3, math.pi / 8))
+    code, out, err = run_cli(capsys, ["decide", path] + option)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert word in err
+
+
 def test_state_file_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -120,6 +138,15 @@ def test_ghz_scan_rejects_bad_n(capsys):
     code, _, err = run_cli(capsys, ["ghz-scan", "--n", "1"])
     assert code == 2
     assert "n must be" in err
+
+
+@pytest.mark.parametrize("option, word", BAD_OPTIONS)
+def test_ghz_scan_rejects_bad_option(capsys, option, word):
+    code, out, err = run_cli(capsys, ["ghz-scan", "--n", "3", "--points", "3"] + option)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert word in err
 
 
 # --- mk-op ---

@@ -6,6 +6,7 @@ fine grid over the reduced angle space for the two-qubit singlet.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from mkvariance import (
     random_state,
     variance,
 )
-from mkvariance.criterion import _ascend
+from mkvariance.criterion import _ascend, _objective, _sweep
 
 
 def haar_factor(rng):
@@ -257,7 +258,18 @@ def test_ascent_iterations_are_monotone():
             theta = rng.uniform(0, math.pi)
             chi = rng.uniform(0, 2 * math.pi)
             xis.append(np.array([math.cos(theta / 2), np.exp(1j * chi) * math.sin(theta / 2)]))
-        _, value, history = _ascend(psi.tensor(), xis, cfg)
+        # A batch of one start, swept by hand to record the value after each sweep.
+        t = psi.tensor()
+        batch = np.array([xis])
+        history = [_objective(t, batch)[0]]
+        for _ in range(cfg.max_iterations):
+            batch, values, largest_step = _sweep(t, batch)
+            history.append(values[0])
+            if history[-1] - history[-2] < cfg.value_tolerance or largest_step[0] < cfg.step_tolerance:
+                break
+        _, values, sweeps = _ascend(t, np.array([xis]), cfg)
+        value = values[0]
+        assert sweeps[0] == len(history) - 1
         assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
         assert value == history[-1]
 
@@ -406,6 +418,49 @@ def test_optimizer_config_validation():
         OptimizerConfig(value_tolerance=0.0)
     assert OptimizerConfig().resolved_starts(6) == 48
     assert OptimizerConfig(starts=7).resolved_starts(6) == 7
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tolerances"):
+            OptimizerConfig(step_tolerance=bad)
+        with pytest.raises(ValueError, match="tolerances"):
+            OptimizerConfig(value_tolerance=bad)
+    for bad in (1.5, 2.0, True, "3"):
+        with pytest.raises(ValueError, match="starts"):
+            OptimizerConfig(starts=bad)
+        with pytest.raises(ValueError, match="max_iterations"):
+            OptimizerConfig(max_iterations=bad)
+    with pytest.raises(ValueError, match="seed"):
+        OptimizerConfig(seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        OptimizerConfig(seed=True)
+    assert OptimizerConfig(seed=np.int64(3), starts=np.int64(5)).resolved_starts(2) == 5
+
+
+@pytest.mark.parametrize("tau", [-1.0, -1e-9, 1.0, 2.0, math.nan, math.inf])
+def test_decide_rejects_bad_tau(tau):
+    with pytest.raises(ValueError, match="tau"):
+        decide(PureState.basis(2, 0), OptimizerConfig(seed=0, starts=2), tau=tau)
+    with pytest.raises(ValueError, match="tau"):
+        decide(random_state(3, 5), OptimizerConfig(seed=0, starts=2), tau=tau)
+
+
+def test_decide_accepts_tau_at_zero():
+    assert decide(ghz(2), OptimizerConfig(seed=0, starts=2), tau=0.0).verdict == "entangled"
+
+
+def test_maximize_objective_memory_is_chunked():
+    # Unchunked, 112 starts at n = 14 hold (112, 2, 2**13) complex arrays
+    # and peak near 100 MB; chunks of 2**18 // 2**14 = 16 starts stay far
+    # below the 64 MB bound.
+    psi = random_product_state(14, 3)
+    tracemalloc.start()
+    try:
+        result = maximize_objective(psi, OptimizerConfig(seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.metadata.starts == 112
+    assert result.value == pytest.approx(1.0, abs=1e-9)
+    assert peak < 64 * 2**20
 
 
 # --- proof conditions on the ceiling state ---
