@@ -8,7 +8,13 @@ measurement directions per qubit:
 
 with B'_k the same expression under a_j <-> a'_j everywhere.  Under local
 realism the mean value of B_n is bounded by 1, while its operator norm is
-2**((n-1)/2).
+2**((n-1)/2).  The pair has the product form
+
+    B + i B' = c (x)_j (a_j + i a'_j) . sigma,    c = ((1 - i)/2)**(n-1)
+
+(Belinskii & Klyshko 1993; Gisin & Bechmann-Pasquinucci 1998), so a mean
+value <psi|B|psi> = Re <psi|B + i B'|psi> costs n single-qubit gates;
+mk_mean and the see-saw of max_mk_mean use it.
 
 Operators are applied to state vectors matrix-free by propagating the pair
 (B_k psi, B'_k psi) one qubit at a time, which costs O(n 2^n); explicit
@@ -27,14 +33,17 @@ import numpy as np
 from .linalg import (
     DENSE_QUBIT_CAP,
     MAX_QUBITS,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     PureState,
     apply_single_qubit,
     kron,
     pauli_combination,
 )
 
-NORM_BOUND_SLACK = 1e-9
 SPECTRAL_BUILD_TOL = 1e-10
+_PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 
 
 @dataclass(frozen=True)
@@ -52,18 +61,13 @@ class MeasurementSettings:
             arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != (self.n, 3):
                 raise ValueError(f"{name} must have shape ({self.n}, 3), got {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} contains non-finite components")
             norms_sq = np.einsum("jk,jk->j", arr, arr)
-            if np.max(np.abs(norms_sq - 1.0)) >= 1e-12:
+            if not np.max(np.abs(norms_sq - 1.0)) < 1e-12:
                 raise ValueError(f"{name} contains non-unit vectors")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "MeasurementSettings":
-        """Build from a sequence of (a_j, a'_j) direction pairs."""
-        a = np.array([p[0] for p in pairs], dtype=float)
-        ap = np.array([p[1] for p in pairs], dtype=float)
-        return cls(n=len(a), a=a, a_prime=ap)
 
     def swapped(self) -> "MeasurementSettings":
         """Settings with every a_j and a'_j exchanged."""
@@ -210,8 +214,6 @@ class MKOperatorPair:
 
 def mk_pair(settings: MeasurementSettings) -> MKOperatorPair:
     """Construct the MK operator pair for the given settings."""
-    if not 1 <= settings.n <= MAX_QUBITS:
-        raise ValueError(f"n={settings.n} outside the supported range 1..{MAX_QUBITS}")
     return MKOperatorPair(
         n=settings.n,
         bell=MKOperator(settings, swapped=False),
@@ -312,29 +314,32 @@ def canonical_mk(n: int) -> MKOperatorPair:
     return pair
 
 
+def _factors(a: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
+    """The factors O_j = (a_j + i a'_j).sigma for directions of shape (..., 3)."""
+    return np.einsum("...k,kab->...ab", a + 1j * a_prime, _PAULIS)
+
+
+def _apply_factor(vecs: np.ndarray, factors: np.ndarray, j: int) -> np.ndarray:
+    """factors[s] applied to qubit j + 1 of vecs[s], for vecs of shape (S, 2**n)."""
+    x = vecs.reshape(len(vecs), 2**j, 1, 2, -1)
+    f = factors[:, None, :, :, None]
+    return (f[..., 0, :] * x[:, :, :, 0] + f[..., 1, :] * x[:, :, :, 1]).reshape(len(vecs), -1)
+
+
+def _means(t: np.ndarray, a: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
+    """Re c <psi|(x)_j O_j|psi> = <psi|B|psi> for directions of shape (S, n, 3)."""
+    s, n, _ = a.shape
+    image = np.broadcast_to(t, (s, t.size))
+    for j, factors in enumerate(np.moveaxis(_factors(a, a_prime), 1, 0)):
+        image = _apply_factor(image, factors, j)
+    return (((1 - 1j) / 2) ** (n - 1) * (image @ t.conj())).real
+
+
 def mk_mean(psi: PureState, settings: MeasurementSettings) -> float:
     """<psi|B|psi> for the MK operator built from the settings."""
     if settings.n != psi.n:
         raise ValueError(f"settings are for {settings.n} qubits but the state has {psi.n}")
-    u, _ = _apply_pair(settings, psi.amplitudes)
-    value = complex(np.vdot(psi.amplitudes, u))
-    return float(value.real)
-
-
-def _raw_mean(a: list[np.ndarray], a_prime: list[np.ndarray], vec: np.ndarray, n: int) -> float:
-    # Same recursion as _apply_pair but on raw (possibly non-unit) vectors,
-    # used for the linear block updates of the see-saw.
-    u = apply_single_qubit(vec, n, 1, pauli_combination(a[0]))
-    v = apply_single_qubit(vec, n, 1, pauli_combination(a_prime[0]))
-    for j in range(2, n + 1):
-        half_sum = pauli_combination((a[j - 1] + a_prime[j - 1]) / 2.0)
-        half_diff = pauli_combination((a[j - 1] - a_prime[j - 1]) / 2.0)
-        su = apply_single_qubit(u, n, j, half_sum)
-        du = apply_single_qubit(u, n, j, half_diff)
-        sv = apply_single_qubit(v, n, j, half_sum)
-        dv = apply_single_qubit(v, n, j, half_diff)
-        u, v = su + dv, sv - du
-    return float(np.vdot(vec, u).real)
+    return float(_means(psi.amplitudes, settings.a[None], settings.a_prime[None])[0])
 
 
 @dataclass(frozen=True)
@@ -346,91 +351,86 @@ class MKMeanResult:
     starts: int
     iterations: int
     best_start: int
+    total_sweeps: int
+    capped_starts: int
+
+
+def _sweep(t: np.ndarray, a: np.ndarray, a_prime: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One pass of exact block updates over qubits 1..n for every start.
+
+    The kets ((x)_{k>j} O_k) psi of the old factors are built once; the bra
+    ((x)_{k<j} O_k)^dag psi of the updated ones is carried from qubit to
+    qubit.  Contracted over every qubit but j they leave a 2x2 matrix R_j,
+    and with w = c Tr(sigma R_j) the mean is a_j . Re w - a'_j . Im w, so
+    a_j follows Re w and a'_j follows -Im w.  Costs O(S n 2**n); returns the
+    new directions, the means after the last update and the largest steps.
+    """
+    s, n, _ = a.shape
+    a, a_prime = a.copy(), a_prime.copy()
+    factors = _factors(a, a_prime)
+    kets = [np.broadcast_to(t, (s, t.size))]
+    for j in range(n - 1, 0, -1):
+        kets.insert(0, _apply_factor(kets[0], factors[:, j], j))
+    bra = kets[-1]
+    largest_step = np.zeros(s)
+    for j in range(n):
+        shape = (s, 2**j, 2, -1)
+        r = np.einsum("slar,slbr->sab", kets[j].reshape(shape), bra.reshape(shape).conj())
+        w = ((1 - 1j) / 2) ** (n - 1) * np.einsum("kba,sab->sk", _PAULIS, r)
+        for dirs, coefficients in ((a, w.real), (a_prime, -w.imag)):
+            norm = np.linalg.norm(coefficients, axis=-1, keepdims=True)
+            new = np.where(norm > 1e-14, coefficients / np.maximum(norm, 1e-300), dirs[:, j])
+            largest_step = np.maximum(largest_step, np.linalg.norm(new - dirs[:, j], axis=-1))
+            dirs[:, j] = new
+        if j + 1 < n:
+            bra = _apply_factor(bra, _factors(a[:, j], -a_prime[:, j]), j)
+    value = np.sum(a[:, -1] * w.real - a_prime[:, -1] * w.imag, axis=-1)
+    return a, a_prime, value, largest_step
 
 
 def max_mk_mean(psi: PureState, config=None) -> MKMeanResult:
     """Maximize <psi|B(settings)|psi> over all measurement settings.
 
-    Multi-start block-coordinate ascent: the mean is linear in each qubit's
-    pair (a_j, a'_j) with the others held fixed, so every block update is an
-    exact maximization (align each vector with its coefficient vector).
-    Start 0 is the canonical fan, start 1 the all-z axial configuration, the
-    rest are seeded random directions.  Deterministic given the seed; ties
-    between starts resolve to the lowest start index.
+    Multi-start block-coordinate ascent (a see-saw): the mean is linear in
+    each qubit's pair (a_j, a'_j) with the others held fixed, so every block
+    update is exact (see ``_sweep``).  Start 0 is the canonical fan, start 1
+    the all-z axial configuration, the rest are seeded random directions.
+    All starts ascend together in chunks of 2**18 // (n 2**n), which bounds
+    the cached kets; each start stops on its own rule, and ties resolve to
+    the lowest start index.  ``total_sweeps`` adds up the sweeps of all
+    starts; ``capped_starts`` counts those that used all ``max_iterations``
+    sweeps without meeting either tolerance.
     """
-    from .criterion import OptimizerConfig  # deferred to avoid an import cycle
+    # Deferred: criterion imports this module.
+    from .criterion import _CHUNK_AMPLITUDES, OptimizerConfig, _ascend_batch, _best_start
 
     cfg = config if config is not None else OptimizerConfig()
     n = psi.n
     if n < 2:
         raise ValueError("mean maximization requires n >= 2")
     starts = cfg.resolved_starts(n)
-    rng = np.random.default_rng(cfg.seed)
-    vec = psi.amplitudes
+    canon = canonical_settings(n)
+    axial = np.broadcast_to(np.eye(3)[[2, 0], None], (2, n, 3))  # a_j = z, a'_j = x
+    drawn = np.random.default_rng(cfg.seed).standard_normal((max(starts - 2, 0), 2, n, 3))
+    # The norm np.linalg.norm takes of a single vector, so that the draws
+    # match those of one vector at a time bit for bit.
+    drawn /= np.sqrt(drawn[..., None, :] @ drawn[..., :, None])[..., 0]
+    dirs = np.concatenate([[[canon.a, canon.a_prime], axial], drawn])[:starts]
+    a, a_prime = dirs[:, 0].copy(), dirs[:, 1].copy()
 
-    def random_unit() -> np.ndarray:
-        v = rng.standard_normal(3)
-        return v / np.linalg.norm(v)
+    values = np.empty(starts)
+    sweeps = np.empty(starts, dtype=int)
+    capped = 0
+    chunk = max(1, _CHUNK_AMPLITUDES // (n << n))
+    for lo in range(0, starts, chunk):
+        part = slice(lo, lo + chunk)
+        values[part] = _means(psi.amplitudes, a[part], a_prime[part])
+        sweeps[part], stuck = _ascend_batch(
+            lambda *p: _sweep(psi.amplitudes, *p), (a[part], a_prime[part]), values[part], cfg)
+        capped += stuck
 
-    best_value = -np.inf
-    best_vectors: tuple[list[np.ndarray], list[np.ndarray]] | None = None
-    best_start = -1
-    best_iters = 0
-
-    for start in range(starts):
-        if start == 0:
-            canon = canonical_settings(n)
-            a = [canon.a[j].copy() for j in range(n)]
-            ap = [canon.a_prime[j].copy() for j in range(n)]
-        elif start == 1:
-            a = [np.array([0.0, 0.0, 1.0]) for _ in range(n)]
-            ap = [np.array([1.0, 0.0, 0.0]) for _ in range(n)]
-        else:
-            a = [random_unit() for _ in range(n)]
-            ap = [random_unit() for _ in range(n)]
-
-        value = _raw_mean(a, ap, vec, n)
-        iters = 0
-        for _ in range(cfg.max_iterations):
-            iters += 1
-            previous = value
-            step = 0.0
-            for j in range(n):
-                grad = np.zeros(3)
-                grad_p = np.zeros(3)
-                zero = np.zeros(3)
-                for k in range(3):
-                    axis = np.zeros(3)
-                    axis[k] = 1.0
-                    grad[k] = _raw_mean(a[:j] + [axis] + a[j + 1:],
-                                        ap[:j] + [zero] + ap[j + 1:], vec, n)
-                    grad_p[k] = _raw_mean(a[:j] + [zero] + a[j + 1:],
-                                          ap[:j] + [axis] + ap[j + 1:], vec, n)
-                norm = np.linalg.norm(grad)
-                if norm > 1e-14:
-                    new = grad / norm
-                    step = max(step, float(np.linalg.norm(new - a[j])))
-                    a[j] = new
-                norm_p = np.linalg.norm(grad_p)
-                if norm_p > 1e-14:
-                    new_p = grad_p / norm_p
-                    step = max(step, float(np.linalg.norm(new_p - ap[j])))
-                    ap[j] = new_p
-            value = _raw_mean(a, ap, vec, n)
-            if value - previous < cfg.value_tolerance or step < cfg.step_tolerance:
-                break
-        if value > best_value + 1e-12:
-            best_value = value
-            best_vectors = (a, ap)
-            best_start = start
-            best_iters = iters
-
-    assert best_vectors is not None
-    found = MeasurementSettings(n=n, a=np.array(best_vectors[0]), a_prime=np.array(best_vectors[1]))
+    best = _best_start(values)
     return MKMeanResult(
-        settings=found,
-        value=float(best_value),
-        starts=starts,
-        iterations=best_iters,
-        best_start=best_start,
-    )
+        settings=MeasurementSettings(n=n, a=a[best], a_prime=a_prime[best]),
+        value=float(values[best]), starts=starts, iterations=int(sweeps[best]),
+        best_start=best, total_sweeps=int(sweeps.sum()), capped_starts=capped)

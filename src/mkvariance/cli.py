@@ -252,6 +252,11 @@ def _selftest_oracle_agreement(seed: int, states: int, inject_failure: bool) -> 
 
 
 def _cmd_selftest(args) -> int:
+    try:
+        OptimizerConfig(seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     all_failures: list[str] = []
     suites = [
         ("spectral", _selftest_spectral()),

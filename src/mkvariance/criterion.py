@@ -319,29 +319,52 @@ def _sweep(t: np.ndarray, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return out, value, largest_step
 
 
-def _ascend(
-    t: np.ndarray, xis: np.ndarray, cfg: OptimizerConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sweeps each start until its own stopping rule fires.
+def _ascend_batch(
+    sweep, params: tuple, values: np.ndarray, cfg: OptimizerConfig
+) -> tuple[np.ndarray, int]:
+    """Sweeps each start of a batch until its own stopping rule fires.
 
-    A start stops once a sweep raises its value by less than
-    ``value_tolerance``, moves no parameter by ``step_tolerance``, or is its
-    ``max_iterations``-th; stopped starts leave the batch.  Returns the final
-    xis, values and sweep counts.
+    ``params`` hold one row per start and ``values`` their current values;
+    ``sweep(*rows)`` returns the new rows, values and largest steps of the
+    starts it is given.  A start stops once a sweep raises its value by less
+    than ``value_tolerance``, moves no parameter by ``step_tolerance``, or is
+    its ``max_iterations``-th; stopped starts leave the batch.  Updates
+    ``params`` and ``values`` in place and returns the sweep counts and the
+    number of starts that stopped only at the cap.  The MK mean see-saw of
+    ``bell.max_mk_mean`` runs on it too.
     """
-    xis = xis.copy()
-    values = _objective(t, xis)
-    sweeps = np.zeros(len(xis), dtype=int)
-    active = np.arange(len(xis))
+    sweeps = np.zeros(len(values), dtype=int)
+    active = np.arange(len(values))
     for _ in range(cfg.max_iterations):
-        new, value, largest_step = _sweep(t, xis[active])
+        *new, value, largest_step = sweep(*(p[active] for p in params))
         done = (value - values[active] < cfg.value_tolerance) | (largest_step < cfg.step_tolerance)
-        xis[active], values[active] = new, value
+        for p, rows in zip(params, new):
+            p[active] = rows
+        values[active] = value
         sweeps[active] += 1
         active = active[~done]
         if active.size == 0:
             break
+    return sweeps, active.size
+
+
+def _ascend(
+    t: np.ndarray, xis: np.ndarray, cfg: OptimizerConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The overlap ascent of one batch: the final xis, values and sweep counts."""
+    xis = xis.copy()
+    values = _objective(t, xis)
+    sweeps, _ = _ascend_batch(lambda rows: _sweep(t, rows), (xis,), values, cfg)
     return xis, values, sweeps
+
+
+def _best_start(values: np.ndarray) -> int:
+    """The lowest start index among the starts whose values agree to 1e-12."""
+    best = 0
+    for start in range(1, len(values)):
+        if values[start] > values[best] + 1e-12:
+            best = start
+    return best
 
 
 def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) -> ObjectiveResult:
@@ -373,10 +396,7 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
         part = slice(lo, lo + chunk)
         xis[part], values[part], sweeps[part] = _ascend(t, xis[part], cfg)
 
-    best = 0
-    for start in range(1, starts):
-        if values[start] > values[best] + 1e-12:
-            best = start
+    best = _best_start(values)
     unitary = phase_fix(psi, LocalUnitary(factors=tuple(_rows(xis[best]))))
     return ObjectiveResult(
         unitary=unitary,

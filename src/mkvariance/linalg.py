@@ -62,7 +62,9 @@ def unit_vector3(v) -> np.ndarray:
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.shape != (3,):
         raise ValueError(f"expected 3 real components, got shape {v.shape}")
-    if abs(v @ v - 1.0) >= 1e-12:
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"non-finite components: {v!r}")
+    if not abs(v @ v - 1.0) < 1e-12:
         raise ValueError(f"not a unit vector: |v|^2 = {v @ v!r}")
     return _frozen(v)
 

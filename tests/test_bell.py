@@ -7,6 +7,7 @@ norm bound against dense eigendecompositions.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mkvariance import (
     max_mk_mean,
     mk_mean,
     mk_pair,
+    random_state,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -284,6 +286,38 @@ def test_max_mk_mean_reports_start_metadata():
     assert result.iterations >= 1
 
 
+def test_max_mk_mean_counts_capped_starts():
+    # One sweep cannot meet either tolerance from a random start.
+    result = max_mk_mean(random_state(3, 7), OptimizerConfig(seed=0, max_iterations=1))
+    assert result.total_sweeps == result.starts
+    assert result.capped_starts > 0
+    assert result.iterations == 1
+
+
+def test_max_mk_mean_ghz_has_no_capped_starts():
+    result = max_mk_mean(ghz(3))
+    assert result.capped_starts == 0
+    assert result.starts <= result.total_sweeps < result.starts * 300
+    assert result.value == pytest.approx(2.0, abs=1e-12)
+
+
+def test_max_mk_mean_memory_is_chunked():
+    # Each chunk caches n kets of 2**n amplitudes per start.  All 96
+    # default starts at n=12 in one batch would hold 96 * 12 * 2**12
+    # complex amplitudes, 75 MB; in chunks of 2**18 // (n 2**n) = 5 starts
+    # the kets take under 4 MB.
+    psi = random_state(12, 5)
+    tracemalloc.start()
+    try:
+        result = max_mk_mean(psi, OptimizerConfig(seed=0, max_iterations=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.starts == 96
+    assert result.total_sweeps == 2 * 96
+    assert peak < 16 * 2**20
+
+
 # --- settings serialization ---
 
 
@@ -302,3 +336,12 @@ def test_settings_validation():
         MeasurementSettings(n=1, a=np.array([[1.0, 1.0, 0.0]]), a_prime=np.array([[1.0, 0.0, 0.0]]))
     with pytest.raises(ValueError, match="shape"):
         MeasurementSettings(n=2, a=np.array([[1.0, 0.0, 0.0]]), a_prime=np.array([[1.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["a", "a_prime"])
+def test_settings_reject_non_finite_directions(bad, name):
+    vectors = {"a": np.array([[1.0, 0.0, 0.0]]), "a_prime": np.array([[0.0, 1.0, 0.0]])}
+    vectors[name] = np.array([[bad, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        MeasurementSettings(n=1, **vectors)

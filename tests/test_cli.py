@@ -194,6 +194,19 @@ def test_mk_op_reads_settings_file_and_swapped_roundtrip(tmp_path, capsys):
     assert np.max(np.abs(matrix - mk_pair(settings).bell.dense())) < 1e-12
 
 
+def test_mk_op_rejects_nan_direction(tmp_path, capsys):
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(
+        {"n": 2, "pairs": [{"a": [math.nan, 0.0, 0.0], "a_prime": [0.0, 1.0, 0.0]},
+                           {"a": [1.0, 0.0, 0.0], "a_prime": [0.0, 1.0, 0.0]}]}
+    ))
+    code, out, err = run_cli(capsys, ["mk-op", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "non-finite" in err
+
+
 def test_mk_op_requires_input(capsys):
     code, _, err = run_cli(capsys, ["mk-op"])
     assert code == 2
@@ -209,6 +222,14 @@ def test_selftest_passes(capsys):
     assert "selftest: PASS" in out
     for suite in ("spectral", "norm-bound", "matrix-free", "oracle-agreement"):
         assert suite in out
+
+
+def test_selftest_rejects_negative_seed(capsys):
+    code, out, err = run_cli(capsys, ["selftest", "--seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "seed" in err
 
 
 def test_selftest_forced_failure(capsys):

@@ -6,6 +6,8 @@ file (brute-force entrywise expansion, bit-level partial trace, dense
 eigendecomposition) and compared against the library paths.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from mkvariance import (
     kron,
     reduced_density,
     spin_observable,
+    unit_vector3,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -137,6 +140,17 @@ def test_spin_observable_squares_to_identity():
 def test_spin_observable_rejects_non_unit():
     with pytest.raises(ValueError, match="unit"):
         spin_observable([1.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_unit_vector3_rejects_non_finite(bad):
+    # A NaN norm compares false against any tolerance, so it must be caught
+    # explicitly rather than slip through as "not too far from 1".
+    for v in ([bad, 0.0, 0.0], [1.0, bad, 0.0]):
+        with pytest.raises(ValueError, match="non-finite"):
+            unit_vector3(v)
+        with pytest.raises(ValueError, match="non-finite"):
+            spin_observable(v)
 
 
 # --- PureState ---

@@ -1,0 +1,187 @@
+"""The batched product-form see-saw against the literal per-start reference.
+
+The reference below is the original implementation of ``max_mk_mean``: one
+start at a time, and every block update re-runs the real Klyshko recursion
+six times per qubit (once per coefficient of a_j and of a'_j).  The batched
+see-saw must reproduce its best start and that start's sweep count exactly,
+its value to 1e-12 and its best settings to 1e-9; on most states it must
+also reproduce every start's value and sweep count.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from mkvariance import (
+    MeasurementSettings,
+    OptimizerConfig,
+    PureState,
+    canonical_settings,
+    generalized_ghz,
+    max_mk_mean,
+    random_state,
+)
+from mkvariance.bell import _dense_pair, _factors, _means, _sweep
+from mkvariance.criterion import _ascend_batch
+from mkvariance.linalg import apply_single_qubit, kron, pauli_combination
+
+# --- reference: the per-start see-saw ------------------------------------
+
+
+def _raw_mean(a: list[np.ndarray], a_prime: list[np.ndarray], vec: np.ndarray, n: int) -> float:
+    """<vec|B|vec> by the literal recursion on raw (possibly non-unit) vectors."""
+    u = apply_single_qubit(vec, n, 1, pauli_combination(a[0]))
+    v = apply_single_qubit(vec, n, 1, pauli_combination(a_prime[0]))
+    for j in range(2, n + 1):
+        half_sum = pauli_combination((a[j - 1] + a_prime[j - 1]) / 2.0)
+        half_diff = pauli_combination((a[j - 1] - a_prime[j - 1]) / 2.0)
+        su = apply_single_qubit(u, n, j, half_sum)
+        du = apply_single_qubit(u, n, j, half_diff)
+        sv = apply_single_qubit(v, n, j, half_sum)
+        dv = apply_single_qubit(v, n, j, half_diff)
+        u, v = su + dv, sv - du
+    return float(np.vdot(vec, u).real)
+
+
+def _reference_starts(n: int, cfg: OptimizerConfig):
+    """Start directions in the original order: canonical fan, all-z axial,
+    then one seeded random unit vector at a time."""
+    rng = np.random.default_rng(cfg.seed)
+
+    def random_unit() -> np.ndarray:
+        v = rng.standard_normal(3)
+        return v / np.linalg.norm(v)
+
+    for start in range(cfg.resolved_starts(n)):
+        if start == 0:
+            canon = canonical_settings(n)
+            yield [canon.a[j].copy() for j in range(n)], [canon.a_prime[j].copy() for j in range(n)]
+        elif start == 1:
+            yield [np.array([0.0, 0.0, 1.0]) for _ in range(n)], [np.array([1.0, 0.0, 0.0]) for _ in range(n)]
+        else:
+            a = [random_unit() for _ in range(n)]
+            yield a, [random_unit() for _ in range(n)]
+
+
+def _reference_ascend(vec, n, a, ap, cfg):
+    value = _raw_mean(a, ap, vec, n)
+    iters = 0
+    for _ in range(cfg.max_iterations):
+        iters += 1
+        previous = value
+        step = 0.0
+        for j in range(n):
+            grad = np.zeros(3)
+            grad_p = np.zeros(3)
+            zero = np.zeros(3)
+            for k in range(3):
+                axis = np.zeros(3)
+                axis[k] = 1.0
+                grad[k] = _raw_mean(a[:j] + [axis] + a[j + 1:], ap[:j] + [zero] + ap[j + 1:], vec, n)
+                grad_p[k] = _raw_mean(a[:j] + [zero] + a[j + 1:], ap[:j] + [axis] + ap[j + 1:], vec, n)
+            norm = np.linalg.norm(grad)
+            if norm > 1e-14:
+                new = grad / norm
+                step = max(step, float(np.linalg.norm(new - a[j])))
+                a[j] = new
+            norm_p = np.linalg.norm(grad_p)
+            if norm_p > 1e-14:
+                new_p = grad_p / norm_p
+                step = max(step, float(np.linalg.norm(new_p - ap[j])))
+                ap[j] = new_p
+        value = _raw_mean(a, ap, vec, n)
+        if value - previous < cfg.value_tolerance or step < cfg.step_tolerance:
+            return np.array(a), np.array(ap), value, iters, False
+    return np.array(a), np.array(ap), value, iters, True
+
+
+def reference_starts(psi: PureState, cfg: OptimizerConfig):
+    """Final (a, a', value, sweeps, capped) of every start, one at a time."""
+    return [_reference_ascend(psi.amplitudes, psi.n, a, ap, cfg) for a, ap in _reference_starts(psi.n, cfg)]
+
+
+def reference_best(runs) -> int:
+    best = 0
+    for start in range(1, len(runs)):
+        if runs[start][2] > runs[best][2] + 1e-12:
+            best = start
+    return best
+
+
+# --- cases ---------------------------------------------------------------
+
+# On generalized GHZ states start 1 (a_j = z, a'_j = x on every qubit) sits
+# on a symmetric saddle in the x-z plane.  In its first sweep the recursion
+# gives the y coefficients as exact zeros and the product form as 1e-17 to
+# 3e-16 round-off; later sweeps can grow that residue and carry the start
+# out of the plane into another basin (at n=5, phi=pi/8 it climbs from the
+# saddle value 0.707 to 2.83).  Its trajectory may therefore differ; the
+# reported result does not, because start 0 (the canonical fan) reaches the
+# same or a better value and wins the tie.
+SADDLE_STARTS = {"ghz": {1}}
+
+CASES = (
+    [pytest.param("ghz", n, phi, seed, None, id=f"ghz-n{n}-{phi:.3f}-s{seed}")
+     for n in (2, 3, 4, 5) for phi in (math.pi / 16, math.pi / 8, math.pi / 4) for seed in (0, 3)]
+    + [pytest.param("basis", n, index, seed, None, id=f"basis-n{n}-{index}-s{seed}")
+       for n, index in ((2, 0), (3, 5)) for seed in (0, 3)]
+    + [pytest.param("haar", n, k, seed, iters, id=f"haar-n{n}-{k}-s{seed}-i{iters}")
+       for n, k, iters in ((2, 0, 300), (2, 1, 300), (3, 0, 30), (4, 0, 8)) for seed in (0, 3)]
+)
+
+
+def make_state(kind, n, param):
+    if kind == "ghz":
+        return generalized_ghz(n, param)
+    if kind == "basis":
+        return PureState.basis(n, param)
+    return random_state(n, 100 + param)
+
+
+@pytest.mark.parametrize("kind, n, param, seed, iters", CASES)
+def test_batched_see_saw_matches_reference(kind, n, param, seed, iters):
+    psi = make_state(kind, n, param)
+    cfg = OptimizerConfig(seed=seed, starts=8, max_iterations=iters or 300)
+    runs = reference_starts(psi, cfg)
+    best = reference_best(runs)
+    result = max_mk_mean(psi, cfg)
+
+    assert result.best_start == best
+    assert result.iterations == runs[best][3]
+    assert result.value == pytest.approx(runs[best][2], abs=1e-12)
+    np.testing.assert_allclose(result.settings.a, runs[best][0], atol=1e-9)
+    np.testing.assert_allclose(result.settings.a_prime, runs[best][1], atol=1e-9)
+
+    # Every start, through the batch that max_mk_mean runs.
+    starts = list(_reference_starts(n, cfg))
+    a = np.array([s[0] for s in starts])
+    ap = np.array([s[1] for s in starts])
+    values = _means(psi.amplitudes, a, ap)
+    sweeps, capped = _ascend_batch(lambda *p: _sweep(psi.amplitudes, *p), (a, ap), values, cfg)
+    exempt = SADDLE_STARTS.get(kind, set())
+    for start, (_, _, ref_value, ref_sweeps, _) in enumerate(runs):
+        if start not in exempt:
+            assert values[start] == pytest.approx(ref_value, abs=1e-12), start
+            assert sweeps[start] == ref_sweeps, start
+    if not exempt:
+        assert result.total_sweeps == sum(r[3] for r in runs)
+        assert result.capped_starts == capped == sum(r[4] for r in runs)
+
+
+# --- the product form against the dense recursion -------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_product_form_matches_dense_recursion(n):
+    # B + i B' = ((1 - i)/2)**(n-1) (x)_j (a_j + i a'_j).sigma
+    rng = np.random.default_rng(70 + n)
+    for _ in range(5):
+        vecs = rng.standard_normal((2, n, 3))
+        vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
+        settings = MeasurementSettings(n=n, a=vecs[0], a_prime=vecs[1])
+        b, b_prime = _dense_pair(settings)
+        product = np.eye(1)
+        for factor in _factors(settings.a, settings.a_prime):
+            product = kron(product, factor)
+        assert np.max(np.abs(b + 1j * b_prime - ((1 - 1j) / 2) ** (n - 1) * product)) <= 1e-12
