@@ -254,6 +254,8 @@ def _selftest_oracle_agreement(seed: int, states: int, inject_failure: bool) -> 
 def _cmd_selftest(args) -> int:
     try:
         OptimizerConfig(seed=args.seed)
+        if args.states < 1:
+            raise ValueError(f"--states must be >= 1, got {args.states}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

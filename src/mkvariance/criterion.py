@@ -17,14 +17,19 @@ products of the rows of the qubits still to be updated once, and carries
 the state contracted with the rows already updated, so it costs O(S 2**n)
 for S starts.  A start leaves the batch as soon as its own stopping rule
 fires.  Starts run in chunks of 2**18 // 2**n, which bounds the working
-memory at large n.
+memory at large n.  The search ends early, with the same result, once the
+tie-rule best of the starts that have stopped reaches the objective's
+ceiling 1: no later start can beat it.
+
+With canonical settings the MK operator is 2**((n-1)/2) (|0..0><1..1| +
+h.c.), so its variance on U psi follows from the two end overlaps alone.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -117,10 +122,14 @@ class LocalUnitary:
 
 @dataclass(frozen=True)
 class OptimizerMetadata:
+    """The search's run record; see ``maximize_objective``."""
+
     starts: int
     iterations: int
     best_start: int
     identity_value: float
+    total_sweeps: int
+    capped_starts: int
 
 
 @dataclass(frozen=True)
@@ -148,23 +157,9 @@ class DecisionReport:
     optimizer_metadata: OptimizerMetadata
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "objective_value": self.objective_value,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "variance": self.variance,
-            "bound": self.bound,
-            "margin": self.margin,
-            "verdict": self.verdict,
-            "tau": self.tau,
-            "optimizer": {
-                "starts": self.optimizer_metadata.starts,
-                "iterations": self.optimizer_metadata.iterations,
-                "best_start": self.optimizer_metadata.best_start,
-                "identity_value": self.optimizer_metadata.identity_value,
-            },
-        }
+        data = asdict(self)
+        data["optimizer"] = data.pop("optimizer_metadata")
+        return data
 
 
 def variance(psi: PureState, op) -> float:
@@ -255,6 +250,10 @@ def localize_product(factors) -> LocalUnitary:
 # a sweep's suffix and left-contracted arrays to a few MB at any n.
 _CHUNK_AMPLITUDES = 2**18
 
+# No objective exceeds 1 by more than roundoff, so a tie-rule best above
+# this value cannot be displaced by any later start.
+_CEILING = 1.0 - 5e-13
+
 
 def _xis_from_angles(thetas: np.ndarray, chis: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(thetas / 2), np.exp(1j * chis) * np.sin(thetas / 2)], axis=-1)
@@ -320,7 +319,7 @@ def _sweep(t: np.ndarray, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _ascend_batch(
-    sweep, params: tuple, values: np.ndarray, cfg: OptimizerConfig
+    sweep, params: tuple, values: np.ndarray, cfg: OptimizerConfig, at_ceiling=None
 ) -> tuple[np.ndarray, int]:
     """Sweeps each start of a batch until its own stopping rule fires.
 
@@ -332,10 +331,15 @@ def _ascend_batch(
     ``params`` and ``values`` in place and returns the sweep counts and the
     number of starts that stopped only at the cap.  The MK mean see-saw of
     ``bell.max_mk_mean`` runs on it too.
+
+    ``at_ceiling``, if given, is asked after every sweep that leaves starts
+    below the cap still ascending, with the index of the first of them; if
+    it answers True those starts are abandoned with the sweeps they ran, and
+    they do not count as capped.
     """
     sweeps = np.zeros(len(values), dtype=int)
     active = np.arange(len(values))
-    for _ in range(cfg.max_iterations):
+    for sweep_count in range(1, cfg.max_iterations + 1):
         *new, value, largest_step = sweep(*(p[active] for p in params))
         done = (value - values[active] < cfg.value_tolerance) | (largest_step < cfg.step_tolerance)
         for p, rows in zip(params, new):
@@ -343,27 +347,22 @@ def _ascend_batch(
         values[active] = value
         sweeps[active] += 1
         active = active[~done]
-        if active.size == 0:
-            break
+        if active.size == 0 or (
+            at_ceiling is not None and sweep_count < cfg.max_iterations and at_ceiling(active[0])
+        ):
+            return sweeps, 0
     return sweeps, active.size
 
 
-def _ascend(
-    t: np.ndarray, xis: np.ndarray, cfg: OptimizerConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The overlap ascent of one batch: the final xis, values and sweep counts."""
-    xis = xis.copy()
-    values = _objective(t, xis)
-    sweeps, _ = _ascend_batch(lambda rows: _sweep(t, rows), (xis,), values, cfg)
-    return xis, values, sweeps
+def _best_start(values: np.ndarray, best: int = 0, start: int = 0) -> int:
+    """The lowest start index among the starts whose values agree to 1e-12.
 
-
-def _best_start(values: np.ndarray) -> int:
-    """The lowest start index among the starts whose values agree to 1e-12."""
-    best = 0
-    for start in range(1, len(values)):
-        if values[start] > values[best] + 1e-12:
-            best = start
+    ``best`` is the choice over the starts before ``start``, so a caller can
+    carry the choice along as more starts stop.
+    """
+    for k in range(start, len(values)):
+        if values[k] > values[best] + 1e-12:
+            best = k
     return best
 
 
@@ -375,7 +374,12 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
     angles (theta in [0, pi], chi in [0, 2 pi)).  All starts ascend together
     in chunks of 2**18 // 2**n.  Among starts whose values agree to 1e-12
     the lowest start index wins, which makes the result independent of
-    evaluation order.
+    evaluation order.  Once that choice over the starts that have stopped
+    exceeds 1 - 5e-13, the starts still ascending are abandoned and later
+    chunks never run, since no objective exceeds 1 beyond roundoff.
+    ``total_sweeps`` adds up the sweeps of all starts, abandoned ones
+    included; ``capped_starts`` counts the starts that used all
+    ``max_iterations`` sweeps without meeting either tolerance.
     """
     cfg = config if config is not None else OptimizerConfig()
     n = psi.n
@@ -388,15 +392,32 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
         angles[k, 0] = rng.uniform(0.0, math.pi, size=n)
         angles[k, 1] = rng.uniform(0.0, 2 * math.pi, size=n)
     xis = _xis_from_angles(angles[:, 0], angles[:, 1])
-    values = np.empty(starts)
-    sweeps = np.empty(starts, dtype=int)
+    values = np.zeros(starts)
+    sweeps = np.zeros(starts, dtype=int)
     t = psi.tensor()
     chunk = max(1, _CHUNK_AMPLITUDES >> n)
-    for lo in range(0, starts, chunk):
-        part = slice(lo, lo + chunk)
-        xis[part], values[part], sweeps[part] = _ascend(t, xis[part], cfg)
+    capped = best = settled = 0
+    hit = False
 
-    best = _best_start(values)
+    def at_ceiling(stopped: int) -> bool:
+        # Carries the tie-rule best over the first `stopped` starts, all of
+        # which have stopped; once that best is at the ceiling it is final.
+        nonlocal best, settled, hit
+        if not hit and stopped > settled:
+            best, settled = _best_start(values[:stopped], best, settled), stopped
+            hit = values[best] > _CEILING
+        return hit
+
+    for lo in range(0, starts, chunk):
+        if at_ceiling(lo):
+            break
+        part = slice(lo, lo + chunk)
+        values[part] = _objective(t, xis[part])
+        sweeps[part], stuck = _ascend_batch(lambda rows: _sweep(t, rows), (xis[part],),
+                                            values[part], cfg, lambda f: at_ceiling(lo + f))
+        capped += stuck
+    at_ceiling(starts)
+
     unitary = phase_fix(psi, LocalUnitary(factors=tuple(_rows(xis[best]))))
     return ObjectiveResult(
         unitary=unitary,
@@ -406,6 +427,8 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
             iterations=int(sweeps[best]),
             best_start=best,
             identity_value=float(values[0]),
+            total_sweeps=int(sweeps.sum()),
+            capped_starts=capped,
         ),
     )
 
@@ -417,27 +440,27 @@ def decide(
 ) -> DecisionReport:
     """Entanglement verdict for a pure state.
 
-    Runs the objective maximization, evaluates the variance of the canonical
-    MK operator on the rotated state, and declares the state entangled when
-    the variance falls short of its ceiling 2**(n-1) by more than
-    ``tau * 2**(n-1)``.  The margin is reported either way so near-threshold
+    Runs the objective maximization and evaluates the variance of the
+    canonical MK operator on the rotated state from its end overlaps
+    a = <0..0|U psi> and b = <1..1|U psi>, as 2**(n-1) (|a|^2 + |b|^2 -
+    4 Re(conj(a) b)^2), which holds for any phases; no MK operator is
+    built.  It declares the state entangled when the variance falls short
+    of its ceiling 2**(n-1) by more than ``tau * 2**(n-1)``.  The margin is reported either way so near-threshold
     states can be inspected by the caller.  ``tau`` must be finite and in
     [0, 1).
     """
     check_tau(tau)
     result = maximize_objective(psi, config)
-    rotated = result.unitary.apply(psi.amplitudes)
-    alpha = float(rotated[0].real)
-    beta = float(rotated[-1].real)
-    delta = variance(PureState(rotated), canonical_mk(psi.n).bell)
+    a, b = _end_overlaps(psi, result.unitary)
     bound = float(2 ** (psi.n - 1))
+    delta = max(bound * (abs(a) ** 2 + abs(b) ** 2 - 4 * (a.conjugate() * b).real ** 2), 0.0)
     margin = bound - delta
     verdict = "entangled" if margin > tau * bound else "product"
     return DecisionReport(
         n=psi.n,
         objective_value=result.value,
-        alpha=alpha,
-        beta=beta,
+        alpha=a.real,
+        beta=b.real,
         variance=delta,
         bound=bound,
         margin=margin,

@@ -172,12 +172,12 @@ def _grid_max_mean_3q(tensor: np.ndarray, rounds: int = 3, points: int = 13):
         for start in range(0, m, chunk):
             sl = slice(start, start + chunk)
             u = 0.25 * (
-                np.einsum("klm,pl,qm->pqk", tensor, s2[sl], s3)
-                - np.einsum("klm,pl,qm->pqk", tensor, d2[sl], d3)
+                np.einsum("klm,pl,qm->pqk", tensor, s2[sl], s3, optimize=True)
+                - np.einsum("klm,pl,qm->pqk", tensor, d2[sl], d3, optimize=True)
             )
             v = 0.25 * (
-                np.einsum("klm,pl,qm->pqk", tensor, d2[sl], s3)
-                + np.einsum("klm,pl,qm->pqk", tensor, s2[sl], d3)
+                np.einsum("klm,pl,qm->pqk", tensor, d2[sl], s3, optimize=True)
+                + np.einsum("klm,pl,qm->pqk", tensor, s2[sl], d3, optimize=True)
             )
             values = np.linalg.norm(u, axis=2) + np.linalg.norm(v, axis=2)
             idx = np.unravel_index(np.argmax(values), values.shape)

@@ -232,6 +232,16 @@ def test_selftest_rejects_negative_seed(capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("states", ["0", "-3"])
+def test_selftest_rejects_no_states(capsys, states):
+    # With no states the oracle-agreement suite would pass vacuously.
+    code, out, err = run_cli(capsys, ["selftest", "--states", states])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "states" in err
+
+
 def test_selftest_forced_failure(capsys):
     code, out, err = run_cli(capsys, ["selftest", "--states", "2", "--inject-failure"])
     assert code != 0

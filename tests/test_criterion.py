@@ -31,7 +31,7 @@ from mkvariance import (
     random_state,
     variance,
 )
-from mkvariance.criterion import _ascend, _objective, _sweep
+from mkvariance.criterion import _ascend_batch, _objective, _sweep
 
 
 def haar_factor(rng):
@@ -267,7 +267,8 @@ def test_ascent_iterations_are_monotone():
             history.append(values[0])
             if history[-1] - history[-2] < cfg.value_tolerance or largest_step[0] < cfg.step_tolerance:
                 break
-        _, values, sweeps = _ascend(t, np.array([xis]), cfg)
+        values = _objective(t, np.array([xis]))
+        sweeps, _ = _ascend_batch(lambda rows: _sweep(t, rows), (np.array([xis]),), values, cfg)
         value = values[0]
         assert sweeps[0] == len(history) - 1
         assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
@@ -461,6 +462,79 @@ def test_maximize_objective_memory_is_chunked():
     assert result.metadata.starts == 112
     assert result.value == pytest.approx(1.0, abs=1e-9)
     assert peak < 64 * 2**20
+
+
+# --- closed-form variance and the ceiling exit ---
+
+
+CLOSED_FORM_STATES = (
+    [pytest.param("haar", n, id=f"haar-n{n}") for n in range(2, 9)]
+    + [pytest.param("product", n, id=f"product-n{n}") for n in range(2, 9)]
+    + [pytest.param("ghz", n, id=f"ghz-n{n}") for n in range(2, 9)]
+)
+
+
+@pytest.mark.parametrize("kind, n", CLOSED_FORM_STATES)
+def test_decide_variance_matches_matrix_free_operator(kind, n):
+    # decide's variance comes from the two end overlaps alone; the
+    # reference applies the canonical MK operator matrix-free.
+    for k in range(3):
+        if kind == "haar":
+            psi = random_state(n, 700 * n + k)
+        elif kind == "product":
+            psi = random_product_state(n, 800 * n + k)
+        else:
+            psi = generalized_ghz(n, (2 * k + 1) * math.pi / 32)
+        config = OptimizerConfig(seed=k, starts=8 if n >= 7 else None)
+        report = decide(psi, config)
+        unitary = maximize_objective(psi, config).unitary
+        expected = conjugated_variance(psi, unitary)
+        assert abs(report.variance - expected) <= 1e-12 * 2 ** (n - 1)
+
+
+def test_decide_builds_no_mk_operator():
+    canonical_mk.cache_clear()
+    assert decide(random_product_state(10, 6)).verdict == "product"
+    assert canonical_mk.cache_info().currsize == 0
+
+
+def test_ceiling_exit_stops_after_the_identity_start_converges():
+    # Start 0 reaches objective 1 in two sweeps; every other start is
+    # abandoned there at the latest.
+    result = maximize_objective(random_product_state(8, 21))
+    assert result.metadata.best_start == 0
+    assert result.metadata.total_sweeps <= 2 * result.metadata.starts
+    assert result.metadata.capped_starts == 0
+
+
+def test_ceiling_exit_abandons_the_starts_still_ascending():
+    # On generalized GHZ the identity start is already at objective 1 and
+    # stops after one sweep, so the random starts are abandoned after theirs.
+    result = maximize_objective(generalized_ghz(5, 0.3))
+    assert result.metadata.best_start == 0
+    assert result.metadata.iterations == 1
+    assert result.metadata.total_sweeps == result.metadata.starts == 40
+    assert result.metadata.capped_starts == 0
+
+
+def test_ceiling_exit_skips_later_chunks():
+    # n = 12 takes 96 starts in chunks of 64: the second chunk never runs.
+    result = maximize_objective(random_product_state(12, 22))
+    assert result.metadata.starts == 96
+    assert result.metadata.total_sweeps <= 128
+
+
+def test_run_record_counts_capped_starts():
+    result = maximize_objective(random_state(3, 23), OptimizerConfig(seed=0, max_iterations=1))
+    assert result.metadata.total_sweeps == result.metadata.starts
+    assert result.metadata.capped_starts > 0
+
+
+def test_decide_report_serializes_run_record():
+    report = decide(random_state(3, 24), OptimizerConfig(seed=0, max_iterations=1))
+    optimizer = report.to_json_dict()["optimizer"]
+    assert optimizer["total_sweeps"] == report.optimizer_metadata.total_sweeps == 32
+    assert optimizer["capped_starts"] == report.optimizer_metadata.capped_starts > 0
 
 
 # --- proof conditions on the ceiling state ---
