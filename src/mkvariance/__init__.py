@@ -38,14 +38,10 @@ from .criterion import (
 from .linalg import (
     DENSE_QUBIT_CAP,
     MAX_QUBITS,
-    DenseOperator,
-    IdentityOperator,
     PureState,
-    SingleQubitOperator,
     apply_operator,
     apply_single_qubit,
     expectation,
-    is_hermitian,
     kron,
     reduced_density,
     spin_observable,
@@ -66,8 +62,6 @@ __all__ = [
     "MAX_QUBITS",
     "ORACLE_EPSILON",
     "DecisionReport",
-    "DenseOperator",
-    "IdentityOperator",
     "LocalUnitary",
     "MKMeanResult",
     "MKOperator",
@@ -78,7 +72,6 @@ __all__ = [
     "OptimizerMetadata",
     "OracleVerdict",
     "PureState",
-    "SingleQubitOperator",
     "apply_operator",
     "apply_single_qubit",
     "canonical_mk",
@@ -88,7 +81,6 @@ __all__ = [
     "expectation",
     "generalized_ghz",
     "ghz",
-    "is_hermitian",
     "is_product_oracle",
     "kron",
     "localize_product",

@@ -1,6 +1,6 @@
 """Mermin-Klyshko Bell operators, canonical settings, and GHZ-family states.
 
-The MK operator pair (B, B') of n qubits is built recursively from two
+The MK operator pair (B, B') of n qubits is defined recursively from two
 measurement directions per qubit:
 
     B_1 = a_1 . sigma,    B'_1 = a'_1 . sigma
@@ -8,17 +8,17 @@ measurement directions per qubit:
 
 with B'_k the same expression under a_j <-> a'_j everywhere.  Under local
 realism the mean value of B_n is bounded by 1, while its operator norm is
-2**((n-1)/2).  The pair has the product form
+2**((n-1)/2).  The recursion collapses to the product form
 
-    B + i B' = c (x)_j (a_j + i a'_j) . sigma,    c = ((1 - i)/2)**(n-1)
+    B + i B' = M = c (x)_j O_j,    O_j = (a_j + i a'_j) . sigma,    c = ((1 - i)/2)**(n-1)
 
-(Belinskii & Klyshko 1993; Gisin & Bechmann-Pasquinucci 1998), so a mean
-value <psi|B|psi> = Re <psi|B + i B'|psi> costs n single-qubit gates;
-mk_mean and the see-saw of max_mk_mean use it.
-
-Operators are applied to state vectors matrix-free by propagating the pair
-(B_k psi, B'_k psi) one qubit at a time, which costs O(n 2^n); explicit
-matrices are only formed on demand for n <= DENSE_QUBIT_CAP.
+(Belinskii & Klyshko 1993; Gisin & Bechmann-Pasquinucci 1998), which is the
+only representation of the pair used here.  A mean value <psi|B|psi> =
+Re <psi|M|psi> costs n single-qubit gates; mk_mean and the see-saw of
+max_mk_mean use it.  B = (M + M^dag)/2 is applied to a state vector
+matrix-free with 2n single-qubit gates (n for M, n for M^dag), so O(n 2^n);
+explicit matrices are only formed on demand for n <= DENSE_QUBIT_CAP.  The
+literal recursion lives in the tests as an independent reference.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     PureState,
-    apply_single_qubit,
     kron,
-    pauli_combination,
+    qubit_count,
 )
 
 SPECTRAL_BUILD_TOL = 1e-10
@@ -55,8 +54,7 @@ class MeasurementSettings:
     a_prime: np.ndarray  # shape (n, 3)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"n={self.n} outside the supported range 1..{MAX_QUBITS}")
+        qubit_count(self.n)
         for name in ("a", "a_prime"):
             arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != (self.n, 3):
@@ -84,7 +82,7 @@ class MeasurementSettings:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MeasurementSettings":
-        n = int(data["n"])
+        n = qubit_count(data["n"])
         pairs = data["pairs"]
         if len(pairs) != n:
             raise ValueError(f"expected {n} pairs, got {len(pairs)}")
@@ -100,78 +98,57 @@ class MeasurementSettings:
         return cls.from_json_dict(json.loads(text))
 
 
-def _apply_pair(settings: MeasurementSettings, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B vec, B' vec) by propagating the recursion over state slices."""
-    n = settings.n
-    u = apply_single_qubit(vec, n, 1, pauli_combination(settings.a[0]))
-    v = apply_single_qubit(vec, n, 1, pauli_combination(settings.a_prime[0]))
-    for j in range(2, n + 1):
-        half_sum = pauli_combination((settings.a[j - 1] + settings.a_prime[j - 1]) / 2.0)
-        half_diff = pauli_combination((settings.a[j - 1] - settings.a_prime[j - 1]) / 2.0)
-        su = apply_single_qubit(u, n, j, half_sum)
-        du = apply_single_qubit(u, n, j, half_diff)
-        sv = apply_single_qubit(v, n, j, half_sum)
-        dv = apply_single_qubit(v, n, j, half_diff)
-        u, v = su + dv, sv - du
-    return u, v
+def _prefactor(n: int) -> complex:
+    """c = ((1 - i)/2)**(n-1) of the product form B + i B' = c (x)_j O_j."""
+    return ((1 - 1j) / 2) ** (n - 1)
 
 
-def _dense_pair(settings: MeasurementSettings) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit matrices (B, B') via the literal recursion; n <= DENSE_QUBIT_CAP."""
-    if settings.n > DENSE_QUBIT_CAP:
-        raise ValueError(f"dense MK matrices are capped at {DENSE_QUBIT_CAP} qubits")
-    b = pauli_combination(settings.a[0])
-    bp = pauli_combination(settings.a_prime[0])
-    for j in range(1, settings.n):
-        half_sum = pauli_combination((settings.a[j] + settings.a_prime[j]) / 2.0)
-        half_diff = pauli_combination((settings.a[j] - settings.a_prime[j]) / 2.0)
-        b, bp = kron(b, half_sum) + kron(bp, half_diff), kron(bp, half_sum) - kron(b, half_diff)
-    return b, bp
+def _factors(a: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
+    """The factors O_j = (a_j + i a'_j).sigma for directions of shape (..., 3)."""
+    return np.einsum("...k,kab->...ab", a + 1j * a_prime, _PAULIS)
 
 
-def _corner_pair(settings: MeasurementSettings) -> tuple[complex, complex]:
-    """Top-right entries <0..0|B|1..1> and <0..0|B'|1..1> in O(n) scalar steps.
-
-    The corner of a Kronecker product is the product of the factor corners,
-    so the full recursion collapses to a scalar one on the 2x2 top-right
-    entries v_x - i v_y.
-    """
-
-    def corner(v: np.ndarray) -> complex:
-        return complex(v[0] - 1j * v[1])
-
-    cb = corner(settings.a[0])
-    cbp = corner(settings.a_prime[0])
-    for j in range(1, settings.n):
-        s = corner((settings.a[j] + settings.a_prime[j]) / 2.0)
-        d = corner((settings.a[j] - settings.a_prime[j]) / 2.0)
-        cb, cbp = cb * s + cbp * d, cbp * s - cb * d
-    return cb, cbp
+def _apply_factor(vecs: np.ndarray, factors: np.ndarray, j: int) -> np.ndarray:
+    """factors[s] applied to qubit j + 1 of vecs[s], for vecs of shape (S, 2**n)."""
+    x = vecs.reshape(len(vecs), 2**j, 1, 2, -1)
+    f = factors[:, None, :, :, None]
+    return (f[..., 0, :] * x[:, :, :, 0] + f[..., 1, :] * x[:, :, :, 1]).reshape(len(vecs), -1)
 
 
 class MKOperator:
-    """Matrix-free handle for one member of an MK operator pair.
+    """Matrix-free handle for B = (M + M^dag)/2 with M = c (x)_j O_j.
 
-    Hermitian by construction.  ``apply`` runs the pair recursion on state
-    slices; ``dense`` materializes the matrix for n <= DENSE_QUBIT_CAP.
+    Hermitian by construction.  ``apply`` runs the n gates O_j and the n
+    gates O_j^dag on the vector; ``dense`` materializes the matrix for
+    n <= DENSE_QUBIT_CAP.
     """
 
-    __slots__ = ("n", "settings", "_swapped", "_dense_cache")
+    __slots__ = ("n", "settings", "_gates", "_dense_cache")
 
-    def __init__(self, settings: MeasurementSettings, swapped: bool = False) -> None:
+    def __init__(self, settings: MeasurementSettings) -> None:
         self.n = settings.n
         self.settings = settings
-        self._swapped = bool(swapped)
+        # The factors of M and of M^dag: O_j^dag = (a_j - i a'_j).sigma.
+        a, a_prime = settings.a, settings.a_prime
+        self._gates = _factors(np.stack([a, a]), np.stack([a_prime, -a_prime]))
         self._dense_cache: np.ndarray | None = None
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        u, v = _apply_pair(self.settings, vec)
-        return v if self._swapped else u
+        images = np.broadcast_to(np.asarray(vec, dtype=complex), (2, 2**self.n))
+        for j in range(self.n):
+            images = _apply_factor(images, self._gates[:, j], j)
+        c = _prefactor(self.n)
+        return (c * images[0] + c.conjugate() * images[1]) / 2
 
     def dense(self) -> np.ndarray:
         if self._dense_cache is None:
-            b, bp = _dense_pair(self.settings)
-            mat = bp if self._swapped else b
+            if self.n > DENSE_QUBIT_CAP:
+                raise ValueError(f"dense MK matrices are capped at {DENSE_QUBIT_CAP} qubits")
+            m = np.eye(1)
+            for factor in self._gates[0]:
+                m = kron(m, factor)
+            m = _prefactor(self.n) * m
+            mat = (m + m.conj().T) / 2
             mat.setflags(write=False)
             self._dense_cache = mat
         return self._dense_cache
@@ -198,8 +175,7 @@ class MKOperator:
         return math.sqrt(lam_sq)
 
     def __repr__(self) -> str:  # pragma: no cover
-        kind = "swapped" if self._swapped else "primary"
-        return f"MKOperator(n={self.n}, {kind})"
+        return f"MKOperator(n={self.n})"
 
 
 @dataclass(frozen=True)
@@ -213,11 +189,15 @@ class MKOperatorPair:
 
 
 def mk_pair(settings: MeasurementSettings) -> MKOperatorPair:
-    """Construct the MK operator pair for the given settings."""
+    """Construct the MK operator pair for the given settings.
+
+    B' is B of the swapped settings: exchanging every a_j and a'_j turns M
+    into i M^dag, whose Hermitian part (M - M^dag)/(2i) is B'.
+    """
     return MKOperatorPair(
         n=settings.n,
-        bell=MKOperator(settings, swapped=False),
-        bell_swapped=MKOperator(settings, swapped=True),
+        bell=MKOperator(settings),
+        bell_swapped=MKOperator(settings.swapped()),
         settings=settings,
     )
 
@@ -229,28 +209,24 @@ def _planar(theta: float) -> np.ndarray:
 def canonical_settings(n: int) -> MeasurementSettings:
     """Planar settings for which the MK operator takes its GHZ spectral form.
 
-    The a_j fan out in the x-y plane with consecutive angle increments
-    (-1)**(n+1) * pi/n and each a'_j is a_j rotated by +pi/2.  A common
-    azimuthal offset is applied to the whole fan so that <0..0|B|1..1> comes
-    out real and positive; without it the corner picks up a residual phase
-    of the form (n-1)*pi/4 and the operator would match the GHZ projector
-    form only up to a phase on |1...1>.
+    The a_j fan out in the x-y plane from a common azimuthal offset with
+    consecutive angle increments (-1)**(n+1) * pi/n, and each a'_j is a_j
+    rotated by +pi/2.  Then O_j = 2 e^{-i theta_j} |0><1|, so
+    B = 2**((n-1)/2) e^{-i phi} |0..0><1..1| + h.c. with phi the sum of the
+    theta_j plus (n-1)*pi/4.  The offset (pi/n)(((n+3)/4 mod 2) - 1) makes
+    phi a multiple of 2 pi, so the corner <0..0|B|1..1> is real and positive
+    and B matches the GHZ projector form.
     """
     if n < 2:
         raise ValueError("canonical settings require n >= 2")
     if n > MAX_QUBITS:
         raise ValueError(f"n={n} outside the supported range 2..{MAX_QUBITS}")
     increment = (-1) ** (n + 1) * math.pi / n
-    base = [j * increment for j in range(n)]
-
-    def build(offset: float) -> MeasurementSettings:
-        a = np.array([_planar(t + offset) for t in base])
-        ap = np.array([_planar(t + offset + math.pi / 2) for t in base])
-        return MeasurementSettings(n=n, a=a, a_prime=ap)
-
-    # Rotating every vector by delta shifts the corner phase by -n*delta.
-    corner, _ = _corner_pair(build(0.0))
-    return build(float(np.angle(corner)) / n)
+    offset = math.pi / n * ((n + 3) / 4 % 2 - 1)
+    angles = [j * increment + offset for j in range(n)]
+    a = np.array([_planar(t) for t in angles])
+    ap = np.array([_planar(t + math.pi / 2) for t in angles])
+    return MeasurementSettings(n=n, a=a, a_prime=ap)
 
 
 def ghz(n: int, sign: int = +1) -> PureState:
@@ -314,25 +290,13 @@ def canonical_mk(n: int) -> MKOperatorPair:
     return pair
 
 
-def _factors(a: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
-    """The factors O_j = (a_j + i a'_j).sigma for directions of shape (..., 3)."""
-    return np.einsum("...k,kab->...ab", a + 1j * a_prime, _PAULIS)
-
-
-def _apply_factor(vecs: np.ndarray, factors: np.ndarray, j: int) -> np.ndarray:
-    """factors[s] applied to qubit j + 1 of vecs[s], for vecs of shape (S, 2**n)."""
-    x = vecs.reshape(len(vecs), 2**j, 1, 2, -1)
-    f = factors[:, None, :, :, None]
-    return (f[..., 0, :] * x[:, :, :, 0] + f[..., 1, :] * x[:, :, :, 1]).reshape(len(vecs), -1)
-
-
 def _means(t: np.ndarray, a: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
     """Re c <psi|(x)_j O_j|psi> = <psi|B|psi> for directions of shape (S, n, 3)."""
     s, n, _ = a.shape
     image = np.broadcast_to(t, (s, t.size))
     for j, factors in enumerate(np.moveaxis(_factors(a, a_prime), 1, 0)):
         image = _apply_factor(image, factors, j)
-    return (((1 - 1j) / 2) ** (n - 1) * (image @ t.conj())).real
+    return (_prefactor(n) * (image @ t.conj())).real
 
 
 def mk_mean(psi: PureState, settings: MeasurementSettings) -> float:
@@ -376,7 +340,7 @@ def _sweep(t: np.ndarray, a: np.ndarray, a_prime: np.ndarray) -> tuple[np.ndarra
     for j in range(n):
         shape = (s, 2**j, 2, -1)
         r = np.einsum("slar,slbr->sab", kets[j].reshape(shape), bra.reshape(shape).conj())
-        w = ((1 - 1j) / 2) ** (n - 1) * np.einsum("kba,sab->sk", _PAULIS, r)
+        w = _prefactor(n) * np.einsum("kba,sab->sk", _PAULIS, r)
         for dirs, coefficients in ((a, w.real), (a_prime, -w.imag)):
             norm = np.linalg.norm(coefficients, axis=-1, keepdims=True)
             new = np.where(norm > 1e-14, coefficients / np.maximum(norm, 1e-300), dirs[:, j])

@@ -29,7 +29,7 @@ from .bell import (
     mk_pair,
 )
 from .criterion import DECISION_TAU, OptimizerConfig, check_tau, decide, variance
-from .linalg import DENSE_QUBIT_CAP, MAX_QUBITS, PureState
+from .linalg import DENSE_QUBIT_CAP, MAX_QUBITS, PureState, qubit_count
 from .oracle import is_product_oracle, random_product_state, random_state
 
 EXIT_ENTANGLED = 0
@@ -43,9 +43,7 @@ def load_state_file(path: str) -> tuple[PureState, float]:
         data = json.load(fh)
     if not isinstance(data, dict) or "n" not in data or "amplitudes" not in data:
         raise ValueError("state file must be an object with 'n' and 'amplitudes'")
-    n = int(data["n"])
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n={n} outside the supported range 1..{MAX_QUBITS}")
+    n = qubit_count(data["n"])
     raw = data["amplitudes"]
     if len(raw) != 2**n:
         raise ValueError(f"expected {2**n} amplitudes for n={n}, got {len(raw)}")

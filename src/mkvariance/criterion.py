@@ -28,20 +28,15 @@ h.c.), so its variance on U psi follows from the two end overlaps alone.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .bell import canonical_mk
-from .linalg import DENSE_QUBIT_CAP, PureState, apply_single_qubit, kron
+from .linalg import DENSE_QUBIT_CAP, PureState, _is_integer, apply_single_qubit, kron
 
 DECISION_TAU = 1e-6
 UNITARY_TOL = 1e-10
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def check_tau(tau: float) -> None:
@@ -90,7 +85,7 @@ class LocalUnitary:
             u = np.array(u, dtype=complex)
             if u.shape != (2, 2):
                 raise ValueError(f"factor {j + 1} is not 2x2")
-            if np.max(np.abs(u.conj().T @ u - np.eye(2))) >= UNITARY_TOL:
+            if not (np.isfinite(u).all() and np.max(np.abs(u.conj().T @ u - np.eye(2))) < UNITARY_TOL):
                 raise ValueError(f"factor {j + 1} is not unitary")
             u.setflags(write=False)
             frozen.append(u)
@@ -228,7 +223,7 @@ def localize_product(factors) -> LocalUnitary:
         if f.shape != (2,):
             raise ValueError(f"factor {j + 1} is not a single-qubit state")
         norm = float(np.linalg.norm(f))
-        if abs(norm - 1.0) >= 1e-6:
+        if not abs(norm - 1.0) < 1e-6:
             raise ValueError(f"factor {j + 1} has norm {norm!r}")
         f = f / norm
         mats.append(np.array([[f[0].conj(), f[1].conj()], [-f[1], f[0]]]))

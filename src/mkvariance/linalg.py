@@ -12,6 +12,8 @@ are read-only and safe to share between threads.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 # Largest n for which explicit 2^n x 2^n matrices are allowed.
@@ -19,17 +21,28 @@ DENSE_QUBIT_CAP = 10
 # Largest n supported at all (matrix-free).
 MAX_QUBITS = 16
 
-HERMITIAN_TOL = 1e-12
 EXPECTATION_IMAG_TOL = 1e-10
 NORM_REPAIR_TOL = 1e-6
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
-for _m in (PAULI_X, PAULI_Y, PAULI_Z, IDENTITY_2):
+for _m in (PAULI_X, PAULI_Y, PAULI_Z):
     _m.setflags(write=False)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def qubit_count(value) -> int:
+    """A qubit count: an integer, not a bool, in 1..MAX_QUBITS."""
+    if not _is_integer(value):
+        raise ValueError(f"n must be an integer, got {value!r}")
+    if not 1 <= value <= MAX_QUBITS:
+        raise ValueError(f"n={value} outside the supported range 1..{MAX_QUBITS}")
+    return int(value)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -76,18 +89,6 @@ def spin_observable(a) -> np.ndarray:
     """
     a = unit_vector3(a)
     return _frozen(a[0] * PAULI_X + a[1] * PAULI_Y + a[2] * PAULI_Z)
-
-
-def pauli_combination(v) -> np.ndarray:
-    """v.sigma for an arbitrary (not necessarily unit) real 3-vector."""
-    v = np.asarray(v, dtype=float).reshape(3)
-    return v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """Max-entry Hermiticity check, |m - m^dagger| < tol entrywise."""
-    m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) < tol)
 
 
 def apply_single_qubit(vec: np.ndarray, n: int, qubit: int, mat: np.ndarray) -> np.ndarray:
@@ -149,71 +150,6 @@ class PureState:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PureState(n={self.n})"
-
-
-class DenseOperator:
-    """Operator handle backed by an explicit matrix (n <= DENSE_QUBIT_CAP)."""
-
-    __slots__ = ("n", "matrix")
-
-    def __init__(self, n: int, matrix) -> None:
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (2**n, 2**n):
-            raise ValueError(f"matrix shape {matrix.shape} does not match n={n}")
-        if n > DENSE_QUBIT_CAP:
-            raise ValueError(f"dense operators are capped at {DENSE_QUBIT_CAP} qubits")
-        self.n = n
-        self.matrix = _frozen(matrix)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(vec, dtype=complex)
-
-    def dense(self) -> np.ndarray:
-        return self.matrix
-
-
-class IdentityOperator:
-    """Identity handle for any supported n; never materializes a matrix."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return np.array(vec, dtype=complex)
-
-    def dense(self) -> np.ndarray:
-        if self.n > DENSE_QUBIT_CAP:
-            raise ValueError(f"dense form is capped at {DENSE_QUBIT_CAP} qubits")
-        return np.eye(2**self.n, dtype=complex)
-
-
-class SingleQubitOperator:
-    """A 2x2 matrix acting on one qubit of an n-qubit register."""
-
-    __slots__ = ("n", "qubit", "matrix")
-
-    def __init__(self, n: int, qubit: int, matrix) -> None:
-        if not 1 <= qubit <= n:
-            raise ValueError(f"qubit index {qubit} out of range 1..{n}")
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (2, 2):
-            raise ValueError("single-qubit operator must be 2x2")
-        self.n = n
-        self.qubit = qubit
-        self.matrix = _frozen(matrix)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return apply_single_qubit(vec, self.n, self.qubit, self.matrix)
-
-    def dense(self) -> np.ndarray:
-        if self.n > DENSE_QUBIT_CAP:
-            raise ValueError(f"dense form is capped at {DENSE_QUBIT_CAP} qubits")
-        out = np.eye(1, dtype=complex)
-        for j in range(1, self.n + 1):
-            out = np.kron(out, self.matrix if j == self.qubit else IDENTITY_2)
-        return out
 
 
 def apply_operator(op, psi: PureState) -> np.ndarray:

@@ -1,8 +1,9 @@
 """MK operator construction, canonical settings, GHZ generators, mean values.
 
 The canonical operator's GHZ spectral form is the keystone regression here;
-the recursion itself is checked against an independent reassembly and the
-norm bound against dense eigendecompositions.
+the product form is checked against the literal recursion of
+``klyshko_reference`` and against an independent reassembly, and the norm
+bound against dense eigendecompositions.
 """
 
 import json
@@ -25,6 +26,8 @@ from mkvariance import (
     mk_pair,
     random_state,
 )
+
+from klyshko_reference import apply_pair, corner_canonical_settings, dense_pair
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -96,6 +99,40 @@ def test_pair_members_are_hermitian():
     for op in (mk_pair(settings).bell, mk_pair(settings).bell_swapped):
         m = op.dense()
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
+
+
+# --- the product form against the literal recursion ---
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dense_pair_matches_recursion(n):
+    rng = np.random.default_rng(80 + n)
+    for _ in range(3):
+        settings = random_settings(rng, n)
+        pair = mk_pair(settings)
+        b, b_prime = dense_pair(settings)
+        assert np.max(np.abs(pair.bell.dense() - b)) <= 1e-12
+        assert np.max(np.abs(pair.bell_swapped.dense() - b_prime)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [*range(1, 7), 8, 12])
+def test_matrix_free_pair_matches_recursion(n):
+    rng = np.random.default_rng(90 + n)
+    settings = random_settings(rng, n)
+    pair = mk_pair(settings)
+    vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    vec /= np.linalg.norm(vec)
+    b_vec, b_prime_vec = apply_pair(settings.a, settings.a_prime, vec)
+    assert np.max(np.abs(pair.bell.apply(vec) - b_vec)) <= 1e-12
+    assert np.max(np.abs(pair.bell_swapped.apply(vec) - b_prime_vec)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_canonical_offset_matches_corner_phase(n):
+    settings = canonical_settings(n)
+    reference = corner_canonical_settings(n)
+    assert np.max(np.abs(settings.a - reference.a)) <= 1e-15
+    assert np.max(np.abs(settings.a_prime - reference.a_prime)) <= 1e-15
 
 
 # --- canonical settings ---

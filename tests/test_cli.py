@@ -72,6 +72,25 @@ def test_decide_rejects_malformed_json(tmp_path, capsys):
     assert err
 
 
+@pytest.mark.parametrize("n, count", [(2.9, 4), (1.5, 2), (True, 2), ("2", 4)])
+def test_decide_rejects_non_integer_n(tmp_path, capsys, n, count):
+    # int() would truncate 2.9 to 2 and decide the four amplitudes as 2 qubits.
+    path = tmp_path / "bad_n.json"
+    path.write_text(json.dumps({"n": n, "amplitudes": [[0.5, 0.0]] * count}))
+    code, out, err = run_cli(capsys, ["decide", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "integer" in err
+
+
+def test_load_state_file_rejects_non_integer_n(tmp_path):
+    path = tmp_path / "bad_n.json"
+    path.write_text(json.dumps({"n": 2.9, "amplitudes": [[0.5, 0.0]] * 4}))
+    with pytest.raises(ValueError, match="integer"):
+        load_state_file(str(path))
+
+
 BAD_OPTIONS = [
     pytest.param(["--starts", "0"], "starts", id="starts-0"),
     pytest.param(["--seed", "-1"], "seed", id="seed-neg"),
@@ -205,6 +224,34 @@ def test_mk_op_rejects_nan_direction(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize("n", [1.5, True])
+def test_mk_op_rejects_non_integer_n(tmp_path, capsys, n):
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps({"n": n, "pairs": [{"a": [1.0, 0.0, 0.0], "a_prime": [0.0, 1.0, 0.0]}]}))
+    code, out, err = run_cli(capsys, ["mk-op", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "integer" in err
+
+
+def test_mk_op_above_dense_cap_reports_power_iteration_norm(capsys):
+    # n = 11 exceeds DENSE_QUBIT_CAP, so the norm comes from
+    # MKOperator.operator_norm's power iteration and no spectrum is listed.
+    code, out, _ = run_cli(capsys, ["mk-op", "--canonical", "11"])
+    assert code == 0
+    data = json.loads(out)
+    assert "eigenvalues" not in data
+    assert data["max_abs_eigenvalue"] == pytest.approx(2**5, abs=1e-9)
+
+
+def test_mk_op_above_dense_cap_rejects_matrix_dump(capsys):
+    code, out, err = run_cli(capsys, ["mk-op", "--canonical", "11", "--dump-matrix"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "dense" in err
 
 
 def test_mk_op_requires_input(capsys):

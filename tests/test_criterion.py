@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from mkvariance import (
-    DenseOperator,
     LocalUnitary,
     OptimizerConfig,
     PureState,
@@ -73,11 +72,23 @@ def test_variance_generalized_ghz_closed_form(n, phi):
     assert value == pytest.approx(2 ** (n - 1) * math.cos(2 * phi) ** 2, abs=1e-9)
 
 
+class MatrixHandle:
+    """An explicit one-qubit matrix behind the operator-handle interface."""
+
+    n = 1
+
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix, dtype=complex)
+
+    def apply(self, vec):
+        return self.matrix @ vec
+
+
 def test_variance_rejects_non_hermitian():
     raising = np.array([[0, 1j], [0, 0]])
     psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2))
     with pytest.raises(ValueError, match="Hermitian"):
-        variance(psi, DenseOperator(1, raising))
+        variance(psi, MatrixHandle(raising))
 
 
 def test_variance_arity_mismatch():
@@ -208,6 +219,13 @@ def test_localize_product_reaches_unit_objective():
 def test_localize_product_rejects_unnormalized():
     with pytest.raises(ValueError, match="norm"):
         localize_product([np.array([1.0, 1.0])])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_localize_product_rejects_non_finite(bad):
+    # A NaN norm deviation compares false against the tolerance.
+    with pytest.raises(ValueError, match="norm"):
+        localize_product([[bad, 0.0]])
 
 
 # --- objective maximization ---
@@ -410,6 +428,12 @@ def test_decide_report_invariants_on_random_states():
 def test_local_unitary_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
         LocalUnitary(factors=(np.array([[1.0, 0.0], [0.0, 2.0]]),))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_local_unitary_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="unitary"):
+        LocalUnitary(factors=(np.diag([bad, 1.0]),))
 
 
 def test_optimizer_config_validation():

@@ -12,11 +12,9 @@ import numpy as np
 import pytest
 
 from mkvariance import (
-    DenseOperator,
-    IdentityOperator,
     PureState,
-    SingleQubitOperator,
     apply_operator,
+    apply_single_qubit,
     canonical_mk,
     expectation,
     ghz,
@@ -42,6 +40,17 @@ def kron_oracle(a, b):
                 for l in range(b.shape[1]):
                     out[i * b.shape[0] + k, j * b.shape[1] + l] = a[i, j] * b[k, l]
     return out
+
+
+class MatrixHandle:
+    """An explicit matrix behind the operator-handle interface (n, apply)."""
+
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix, dtype=complex)
+        self.n = len(self.matrix).bit_length() - 1
+
+    def apply(self, vec):
+        return self.matrix @ vec
 
 
 def partial_trace_oracle(amps, n, qubit):
@@ -194,14 +203,16 @@ def test_pure_state_amplitudes_read_only():
 
 def test_apply_identity_handle():
     psi = ghz(3)
-    out = apply_operator(IdentityOperator(3), psi)
+    out = apply_operator(MatrixHandle(np.eye(8)), psi)
     assert np.array_equal(out, psi.amplitudes)
 
 
 def test_apply_sigma_z_on_qubit_one():
     psi = PureState.from_bits((1, 0))
-    out = apply_operator(SingleQubitOperator(2, 1, SZ), psi)
+    out = apply_operator(MatrixHandle(np.kron(SZ, I2)), psi)
     np.testing.assert_allclose(out, -psi.amplitudes, atol=1e-15)
+    np.testing.assert_allclose(apply_single_qubit(psi.amplitudes, 2, 1, SZ), -psi.amplitudes, atol=1e-15)
+    np.testing.assert_allclose(apply_single_qubit(psi.amplitudes, 2, 2, SZ), psi.amplitudes, atol=1e-15)
 
 
 def test_apply_canonical_b3_on_ghz():
@@ -214,7 +225,7 @@ def test_apply_canonical_b3_on_ghz():
 
 def test_apply_arity_mismatch():
     with pytest.raises(ValueError, match="qubits"):
-        apply_operator(IdentityOperator(3), ghz(2))
+        apply_operator(MatrixHandle(np.eye(8)), ghz(2))
 
 
 def test_matrix_free_apply_equals_dense_for_canonical():
@@ -233,7 +244,7 @@ def test_matrix_free_apply_equals_dense_for_canonical():
 
 def test_expectation_sigma_z_on_zero():
     psi = PureState.basis(1, 0)
-    assert expectation(psi, DenseOperator(1, SZ)) == pytest.approx(1.0, abs=1e-15)
+    assert expectation(psi, MatrixHandle(SZ)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_expectation_ghz_canonical():
@@ -253,7 +264,7 @@ def test_expectation_rejects_non_hermitian():
     raising = np.array([[0, 1j], [0, 0]])
     psi = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
     with pytest.raises(ValueError, match="Hermitian"):
-        expectation(psi, DenseOperator(1, raising))
+        expectation(psi, MatrixHandle(raising))
 
 
 # --- reduced density ---

@@ -1,11 +1,12 @@
 """The batched product-form see-saw against the literal per-start reference.
 
 The reference below is the original implementation of ``max_mk_mean``: one
-start at a time, and every block update re-runs the real Klyshko recursion
-six times per qubit (once per coefficient of a_j and of a'_j).  The batched
-see-saw must reproduce its best start and that start's sweep count exactly,
-its value to 1e-12 and its best settings to 1e-9; on most states it must
-also reproduce every start's value and sweep count.
+start at a time, and every block update re-runs the literal Klyshko
+recursion of ``klyshko_reference`` six times per qubit (once per
+coefficient of a_j and of a'_j).  The batched see-saw must reproduce its
+best start and that start's sweep count exactly, its value to 1e-12 and
+its best settings to 1e-9; on most states it must also reproduce every
+start's value and sweep count.
 """
 
 import math
@@ -22,26 +23,13 @@ from mkvariance import (
     max_mk_mean,
     random_state,
 )
-from mkvariance.bell import _dense_pair, _factors, _means, _sweep
+from mkvariance.bell import _factors, _means, _sweep
 from mkvariance.criterion import _ascend_batch
-from mkvariance.linalg import apply_single_qubit, kron, pauli_combination
+from mkvariance.linalg import kron
+
+from klyshko_reference import dense_pair, raw_mean
 
 # --- reference: the per-start see-saw ------------------------------------
-
-
-def _raw_mean(a: list[np.ndarray], a_prime: list[np.ndarray], vec: np.ndarray, n: int) -> float:
-    """<vec|B|vec> by the literal recursion on raw (possibly non-unit) vectors."""
-    u = apply_single_qubit(vec, n, 1, pauli_combination(a[0]))
-    v = apply_single_qubit(vec, n, 1, pauli_combination(a_prime[0]))
-    for j in range(2, n + 1):
-        half_sum = pauli_combination((a[j - 1] + a_prime[j - 1]) / 2.0)
-        half_diff = pauli_combination((a[j - 1] - a_prime[j - 1]) / 2.0)
-        su = apply_single_qubit(u, n, j, half_sum)
-        du = apply_single_qubit(u, n, j, half_diff)
-        sv = apply_single_qubit(v, n, j, half_sum)
-        dv = apply_single_qubit(v, n, j, half_diff)
-        u, v = su + dv, sv - du
-    return float(np.vdot(vec, u).real)
 
 
 def _reference_starts(n: int, cfg: OptimizerConfig):
@@ -65,7 +53,7 @@ def _reference_starts(n: int, cfg: OptimizerConfig):
 
 
 def _reference_ascend(vec, n, a, ap, cfg):
-    value = _raw_mean(a, ap, vec, n)
+    value = raw_mean(a, ap, vec)
     iters = 0
     for _ in range(cfg.max_iterations):
         iters += 1
@@ -78,8 +66,8 @@ def _reference_ascend(vec, n, a, ap, cfg):
             for k in range(3):
                 axis = np.zeros(3)
                 axis[k] = 1.0
-                grad[k] = _raw_mean(a[:j] + [axis] + a[j + 1:], ap[:j] + [zero] + ap[j + 1:], vec, n)
-                grad_p[k] = _raw_mean(a[:j] + [zero] + a[j + 1:], ap[:j] + [axis] + ap[j + 1:], vec, n)
+                grad[k] = raw_mean(a[:j] + [axis] + a[j + 1:], ap[:j] + [zero] + ap[j + 1:], vec)
+                grad_p[k] = raw_mean(a[:j] + [zero] + a[j + 1:], ap[:j] + [axis] + ap[j + 1:], vec)
             norm = np.linalg.norm(grad)
             if norm > 1e-14:
                 new = grad / norm
@@ -90,7 +78,7 @@ def _reference_ascend(vec, n, a, ap, cfg):
                 new_p = grad_p / norm_p
                 step = max(step, float(np.linalg.norm(new_p - ap[j])))
                 ap[j] = new_p
-        value = _raw_mean(a, ap, vec, n)
+        value = raw_mean(a, ap, vec)
         if value - previous < cfg.value_tolerance or step < cfg.step_tolerance:
             return np.array(a), np.array(ap), value, iters, False
     return np.array(a), np.array(ap), value, iters, True
@@ -180,7 +168,7 @@ def test_product_form_matches_dense_recursion(n):
         vecs = rng.standard_normal((2, n, 3))
         vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
         settings = MeasurementSettings(n=n, a=vecs[0], a_prime=vecs[1])
-        b, b_prime = _dense_pair(settings)
+        b, b_prime = dense_pair(settings)
         product = np.eye(1)
         for factor in _factors(settings.a, settings.a_prime):
             product = kron(product, factor)
