@@ -12,14 +12,14 @@ ascent over these exact updates is therefore monotone per iteration and
 deterministic given the seed.  Residual overlap phases are removed
 afterwards by a diagonal phase gate on qubit 1.
 
-All starts ascend together as one batch.  A sweep builds the Kronecker
-products of the rows of the qubits still to be updated once, and carries
-the state contracted with the rows already updated, so it costs O(S 2**n)
-for S starts.  A start leaves the batch as soon as its own stopping rule
-fires.  Starts run in chunks of 2**18 // 2**n, which bounds the working
-memory at large n.  The search ends early, with the same result, once the
-tie-rule best of the starts that have stopped reaches the objective's
-ceiling 1: no later start can beat it.
+All starts ascend together as one batch, which holds each factor U_j as its
+rows and updates them in place.  A sweep builds the Kronecker products of the
+rows of the qubits still to be updated once, and carries the state contracted
+with the rows already updated, so it costs O(S 2**n) for S starts.  A start
+leaves the batch once its own stopping rule fires.  Starts run in chunks of
+2**18 // 2**n, which bounds the working memory at large n.  The search ends
+early, with the same result, once the tie-rule best of the stopped starts
+reaches the objective's ceiling 1: no later start can beat it.
 
 With canonical settings the MK operator is 2**((n-1)/2) (|0..0><1..1| +
 h.c.), so its variance on U psi follows from the two end overlaps alone.
@@ -125,6 +125,8 @@ class OptimizerMetadata:
     identity_value: float
     total_sweeps: int
     capped_starts: int
+    starts_at_best: int
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -237,8 +239,8 @@ def localize_product(factors) -> LocalUnitary:
 # that its factor maps to |0>; the factor itself is
 #     U_j = [[conj(xi_0), conj(xi_1)], [-xi_1, xi_0]],
 # whose row 0 builds <0..0|U psi> and row 1 builds <1..1|U psi>.  A batch of
-# S starts carries xis of shape (S, n, 2) and rows of shape (S, n, 2, 2),
-# indexed [start, qubit, overlap, component].
+# S starts carries only these rows, shape (S, n, 2, 2) indexed [start, qubit,
+# overlap, component]; a block update writes one qubit's rows in place.
 # ---------------------------------------------------------------------------
 
 # Starts are ascended in chunks of 2**18 // 2**n (at least one), which keeps
@@ -250,71 +252,72 @@ _CHUNK_AMPLITUDES = 2**18
 _CEILING = 1.0 - 5e-13
 
 
-def _xis_from_angles(thetas: np.ndarray, chis: np.ndarray) -> np.ndarray:
-    return np.stack([np.cos(thetas / 2), np.exp(1j * chis) * np.sin(thetas / 2)], axis=-1)
-
-
 def _rows(xis: np.ndarray) -> np.ndarray:
     """The factors U_j for xis of shape (..., 2), as arrays of shape (..., 2, 2)."""
     return np.stack([xis.conj(), np.stack([-xis[..., 1], xis[..., 0]], axis=-1)], axis=-2)
 
 
-def _objective(t: np.ndarray, xis: np.ndarray) -> np.ndarray:
+def _objective(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """|<0..0|U psi>|^2 + |<1..1|U psi>|^2 for each start of the batch."""
     left = t.reshape(1, 1, -1)
-    for rows in np.moveaxis(_rows(xis), 1, 0):
-        left = (rows[:, :, None, :] @ left.reshape(left.shape[0], left.shape[1], 2, -1))[:, :, 0, :]
+    for r in np.moveaxis(rows, 1, 0):
+        left = (r[:, :, None, :] @ left.reshape(left.shape[0], left.shape[1], 2, -1))[:, :, 0, :]
     return np.sum(np.abs(left[:, :, 0]) ** 2, axis=1)
 
 
-def _block_update(m: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _block_update(m: np.ndarray, old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact maximization over one qubit's two angles, all other qubits fixed.
 
     Contracting every other qubit leaves two 2-vectors per start, m0 = m[:, 0]
     and m1 = m[:, 1], with a = row0 . m0 and b = row1 . m1; the objective
     reduces to (P+Q)/2 + (P-Q)/2 cos(theta) + |G| sin(theta) at the optimal
-    chi.  Returns the new xis, objective values and parameter step sizes.
+    chi.  Writes the best factor into ``new`` (``old`` where the objective is
+    flat); returns the values and the step sizes, taken on row 0 = conj(xi).
     """
-    m0, m1 = m[:, 0], m[:, 1]
-    p = np.abs(m0[:, 0]) ** 2 + np.abs(m1[:, 1]) ** 2
-    q = np.abs(m0[:, 1]) ** 2 + np.abs(m1[:, 0]) ** 2
-    g = m0[:, 1] * np.conj(m0[:, 0]) - np.conj(m1[:, 0]) * m1[:, 1]
-    radius = np.hypot((p - q) / 2.0, np.abs(g))
-    xi_new = _xis_from_angles(np.arctan2(np.abs(g), (p - q) / 2.0), np.angle(g))
+    squares = np.abs(m) ** 2
+    p = squares[:, 0, 0] + squares[:, 1, 1]
+    q = squares[:, 0, 1] + squares[:, 1, 0]
+    g = m[:, 0, 1] * np.conj(m[:, 0, 0]) - np.conj(m[:, 1, 0]) * m[:, 1, 1]
+    x, y = (p - q) / 2.0, np.abs(g)
+    radius, half = np.hypot(x, y), np.arctan2(y, x) / 2
+    new[:, 1, 1], new[:, 1, 0] = np.cos(half), np.exp(1j * np.angle(g)) * np.sin(half)
+    np.conjugate(new[:, 1, ::-1], out=new[:, 0])
+    np.negative(new[:, 1, 0], out=new[:, 1, 0])
     flat = radius < 1e-300
-    xi_new[flat] = xi[flat]
-    radius[flat] = 0.0
-    return xi_new, (p + q) / 2.0 + radius, np.linalg.norm(xi_new - xi, axis=-1)
+    if flat.any():
+        new[flat] = old[flat]
+        radius[flat] = 0.0
+    step = new[:, 0] - old[:, 0]
+    return (p + q) / 2.0 + radius, np.sqrt(np.add.reduce((step.conj() * step).real, axis=-1))
 
 
-def _sweep(t: np.ndarray, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sweep(t: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One pass of block updates over qubits 1..n for every start of the batch.
 
     The Kronecker products of the old rows of qubits k > j are built once;
     the rows of qubits k < j enter through the running left-contracted
-    tensor, so the pass costs O(S 2**n).  Returns the new xis, each start's
+    tensor, so the pass costs O(S 2**n).  Returns the new rows, each start's
     objective after its last update, and each start's largest step.
     """
-    s, n, _ = xis.shape
-    rows = _rows(xis)
+    s, n = rows.shape[:2]
     suffix = [np.ones((s, 2, 1), dtype=complex)]
     for j in range(n - 1, 0, -1):
         suffix.append((rows[:, j, :, :, None] * suffix[-1][:, :, None, :]).reshape(s, 2, -1))
     suffix.reverse()
-    out = np.empty_like(xis)
+    out = np.empty_like(rows)
     largest_step = np.zeros(s)
     left = t.reshape(1, 1, -1)
     for j in range(n):
         block = left.reshape(left.shape[0], left.shape[1], 2, -1)
         m = (block @ suffix[j][..., None])[..., 0]
-        out[:, j], value, step = _block_update(m, xis[:, j])
+        value, step = _block_update(m, rows[:, j], out[:, j])
         largest_step = np.maximum(largest_step, step)
-        left = (_rows(out[:, j])[:, :, None, :] @ block)[:, :, 0, :]
+        left = (out[:, j, :, None, :] @ block)[:, :, 0, :]
     return out, value, largest_step
 
 
 def _ascend_batch(
-    sweep, params: tuple, values: np.ndarray, cfg: OptimizerConfig, at_ceiling=None
+    sweep, params: tuple, values: np.ndarray, cfg: OptimizerConfig, at_ceiling=None, unfinished=None
 ) -> tuple[np.ndarray, int]:
     """Sweeps each start of a batch until its own stopping rule fires.
 
@@ -330,23 +333,28 @@ def _ascend_batch(
     ``at_ceiling``, if given, is asked after every sweep that leaves starts
     below the cap still ascending, with the index of the first of them; if
     it answers True those starts are abandoned with the sweeps they ran, and
-    they do not count as capped.
+    they do not count as capped.  ``unfinished``, if given, is set True at
+    the starts that met neither tolerance, capped or abandoned.
     """
     sweeps = np.zeros(len(values), dtype=int)
     active = np.arange(len(values))
     for sweep_count in range(1, cfg.max_iterations + 1):
-        *new, value, largest_step = sweep(*(p[active] for p in params))
-        done = (value - values[active] < cfg.value_tolerance) | (largest_step < cfg.step_tolerance)
+        # A plain slice while every start ascends spares the gather and scatter.
+        index = active if active.size < len(values) else slice(None)
+        *new, value, largest_step = sweep(*(p[index] for p in params))
+        done = (value - values[index] < cfg.value_tolerance) | (largest_step < cfg.step_tolerance)
         for p, rows in zip(params, new):
-            p[active] = rows
-        values[active] = value
-        sweeps[active] += 1
+            p[index] = rows
+        values[index] = value
+        sweeps[index] += 1
         active = active[~done]
         if active.size == 0 or (
             at_ceiling is not None and sweep_count < cfg.max_iterations and at_ceiling(active[0])
         ):
-            return sweeps, 0
-    return sweeps, active.size
+            break
+    if unfinished is not None:
+        unfinished[active] = True
+    return sweeps, int(np.sum(sweeps[active] == cfg.max_iterations))
 
 
 def _best_start(values: np.ndarray, best: int = 0, start: int = 0) -> int:
@@ -375,6 +383,9 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
     ``total_sweeps`` adds up the sweeps of all starts, abandoned ones
     included; ``capped_starts`` counts the starts that used all
     ``max_iterations`` sweeps without meeting either tolerance.
+    ``starts_at_best`` counts the stopped starts within 1e-9 of the best
+    value, not those abandoned at the ceiling or in chunks that never ran;
+    ``converged`` says that the best start met a tolerance before the cap.
     """
     cfg = config if config is not None else OptimizerConfig()
     n = psi.n
@@ -386,12 +397,14 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
     for k in range(1, starts):
         angles[k, 0] = rng.uniform(0.0, math.pi, size=n)
         angles[k, 1] = rng.uniform(0.0, 2 * math.pi, size=n)
-    xis = _xis_from_angles(angles[:, 0], angles[:, 1])
+    thetas, chis = angles[:, 0], angles[:, 1]
+    rows = _rows(np.stack([np.cos(thetas / 2), np.exp(1j * chis) * np.sin(thetas / 2)], axis=-1))
     values = np.zeros(starts)
     sweeps = np.zeros(starts, dtype=int)
+    unfinished = np.zeros(starts, dtype=bool)
     t = psi.tensor()
     chunk = max(1, _CHUNK_AMPLITUDES >> n)
-    capped = best = settled = 0
+    best = settled = 0
     hit = False
 
     def at_ceiling(stopped: int) -> bool:
@@ -407,13 +420,13 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
         if at_ceiling(lo):
             break
         part = slice(lo, lo + chunk)
-        values[part] = _objective(t, xis[part])
-        sweeps[part], stuck = _ascend_batch(lambda rows: _sweep(t, rows), (xis[part],),
-                                            values[part], cfg, lambda f: at_ceiling(lo + f))
-        capped += stuck
+        values[part] = _objective(t, rows[part])
+        sweeps[part], _ = _ascend_batch(lambda r: _sweep(t, r), (rows[part],), values[part], cfg,
+                                        lambda f: at_ceiling(lo + f), unfinished[part])
     at_ceiling(starts)
+    abandoned = unfinished & (sweeps < cfg.max_iterations)  # a capped start ran all its sweeps
 
-    unitary = phase_fix(psi, LocalUnitary(factors=tuple(_rows(xis[best]))))
+    unitary = phase_fix(psi, LocalUnitary(factors=tuple(rows[best])))
     return ObjectiveResult(
         unitary=unitary,
         value=float(values[best]),
@@ -423,7 +436,9 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
             best_start=best,
             identity_value=float(values[0]),
             total_sweeps=int(sweeps.sum()),
-            capped_starts=capped,
+            capped_starts=int(np.sum(unfinished & ~abandoned)),
+            starts_at_best=int(np.sum((sweeps > 0) & ~abandoned & (np.abs(values - values[best]) <= 1e-9))),
+            converged=not unfinished[best],
         ),
     )
 
@@ -440,9 +455,9 @@ def decide(
     a = <0..0|U psi> and b = <1..1|U psi>, as 2**(n-1) (|a|^2 + |b|^2 -
     4 Re(conj(a) b)^2), which holds for any phases; no MK operator is
     built.  It declares the state entangled when the variance falls short
-    of its ceiling 2**(n-1) by more than ``tau * 2**(n-1)``.  The margin is reported either way so near-threshold
-    states can be inspected by the caller.  ``tau`` must be finite and in
-    [0, 1).
+    of its ceiling 2**(n-1) by more than ``tau * 2**(n-1)``.  The margin is
+    reported either way so near-threshold states can be inspected by the
+    caller.  ``tau`` must be finite and in [0, 1).
     """
     check_tau(tau)
     result = maximize_objective(psi, config)

@@ -68,12 +68,14 @@ def test_canonical_two_qubit_eigenvalues():
 
 
 def test_exchange_symmetry_rebuild():
+    # B of the swapped settings is B' of the original ones: the product form
+    # against the literal recursion's B', then back again.
     rng = np.random.default_rng(31)
     for n in (2, 3, 4):
         settings = random_settings(rng, n)
         pair = mk_pair(settings)
         rebuilt = mk_pair(settings.swapped())
-        assert np.max(np.abs(rebuilt.bell.dense() - pair.bell_swapped.dense())) < 1e-12
+        assert np.max(np.abs(rebuilt.bell.dense() - dense_pair(settings)[1])) < 1e-12
         assert np.max(np.abs(rebuilt.bell_swapped.dense() - pair.bell.dense())) < 1e-12
 
 

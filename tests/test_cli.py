@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mkvariance import PureState, generalized_ghz
+from mkvariance import PureState, generalized_ghz, random_state
 from mkvariance.cli import load_state_file, main, write_state_file
 
 
@@ -44,6 +44,16 @@ def test_decide_product_basis_state(tmp_path, capsys):
     assert data["decision"]["verdict"] == "product"
     assert data["decision"]["variance"] == pytest.approx(8.0, abs=1e-6)
     assert data["oracle"]["is_product"] is True
+
+
+def test_decide_emits_basin_count_and_convergence(tmp_path, capsys):
+    path = state_file(tmp_path, random_state(4, 7))
+    code, out, _ = run_cli(capsys, ["decide", path])
+    assert code == 0
+    optimizer = json.loads(out)["decision"]["optimizer"]
+    assert optimizer["total_sweeps"] > optimizer["starts"] == 32
+    assert optimizer["starts_at_best"] == 32
+    assert optimizer["converged"] is True
 
 
 def test_decide_rejects_wrong_amplitude_count(tmp_path, capsys):

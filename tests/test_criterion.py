@@ -30,7 +30,7 @@ from mkvariance import (
     random_state,
     variance,
 )
-from mkvariance.criterion import _ascend_batch, _objective, _sweep
+from mkvariance.criterion import _ascend_batch, _objective, _rows, _sweep
 
 
 def haar_factor(rng):
@@ -278,15 +278,15 @@ def test_ascent_iterations_are_monotone():
             xis.append(np.array([math.cos(theta / 2), np.exp(1j * chi) * math.sin(theta / 2)]))
         # A batch of one start, swept by hand to record the value after each sweep.
         t = psi.tensor()
-        batch = np.array([xis])
+        batch = _rows(np.array([xis]))
         history = [_objective(t, batch)[0]]
         for _ in range(cfg.max_iterations):
             batch, values, largest_step = _sweep(t, batch)
             history.append(values[0])
             if history[-1] - history[-2] < cfg.value_tolerance or largest_step[0] < cfg.step_tolerance:
                 break
-        values = _objective(t, np.array([xis]))
-        sweeps, _ = _ascend_batch(lambda rows: _sweep(t, rows), (np.array([xis]),), values, cfg)
+        values = _objective(t, _rows(np.array([xis])))
+        sweeps, _ = _ascend_batch(lambda rows: _sweep(t, rows), (_rows(np.array([xis])),), values, cfg)
         value = values[0]
         assert sweeps[0] == len(history) - 1
         assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
@@ -559,6 +559,39 @@ def test_decide_report_serializes_run_record():
     optimizer = report.to_json_dict()["optimizer"]
     assert optimizer["total_sweeps"] == report.optimizer_metadata.total_sweeps == 32
     assert optimizer["capped_starts"] == report.optimizer_metadata.capped_starts > 0
+
+
+def test_run_record_counts_every_haar_start_at_the_best_value():
+    # At n = 4 every start of this Haar state ascends to the same maximum.
+    meta = maximize_objective(random_state(4, 7)).metadata
+    assert meta.starts_at_best == meta.starts == 32
+    assert meta.converged is True
+
+
+def test_run_record_flags_a_best_start_stopped_at_the_cap():
+    meta = maximize_objective(random_state(5, 26), OptimizerConfig(seed=0, max_iterations=3)).metadata
+    assert meta.capped_starts > 0
+    assert meta.iterations == 3
+    assert meta.converged is False
+
+
+def test_run_record_on_a_product_state_is_converged():
+    meta = maximize_objective(random_product_state(4, 25)).metadata
+    assert meta.best_start == 0
+    assert 1 <= meta.starts_at_best <= meta.starts
+    assert meta.converged is True
+
+
+def test_basin_count_leaves_out_abandoned_and_unrun_starts():
+    # Generalized GHZ: start 0 is at objective 1 after its first sweep and
+    # every other start is abandoned there.
+    meta = maximize_objective(generalized_ghz(5, 0.3)).metadata
+    assert meta.total_sweeps == meta.starts == 40
+    assert meta.starts_at_best == 1
+    # n = 12 runs only the first chunk of 64 of its 96 starts.
+    meta = maximize_objective(random_product_state(12, 22)).metadata
+    assert 1 <= meta.starts_at_best <= 64
+    assert meta.converged is True
 
 
 # --- proof conditions on the ceiling state ---

@@ -1,0 +1,57 @@
+"""Invariants of the overlap ascent and the verdict, checked on drawn inputs.
+
+Examples are derandomized and bounded, so every run checks the same states.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from mkvariance import DECISION_TAU, PureState, decide
+from mkvariance.criterion import _objective, _rows, _sweep
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def states(draw, max_n):
+    n = draw(st.integers(2, max_n))
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 ** (n + 1), max_size=2 ** (n + 1)))
+    amplitudes = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+    norm = np.linalg.norm(amplitudes)
+    assume(norm > 1e-3)
+    return PureState(amplitudes / norm)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(data=st.data(), psi=states(5), starts=st.integers(1, 4))
+def test_a_sweep_never_lowers_any_start(data, psi, starts):
+    angle = st.floats(0.0, 2 * math.pi)
+    drawn = np.array(data.draw(st.lists(angle, min_size=2 * starts * psi.n, max_size=2 * starts * psi.n)))
+    thetas, chis = drawn.reshape(2, starts, psi.n)
+    xis = np.stack([np.cos(thetas / 2), np.exp(1j * chis) * np.sin(thetas / 2)], axis=-1)
+    t = psi.tensor()
+    rows = _rows(xis)
+    before = _objective(t, rows)
+    _, after, _ = _sweep(t, rows)
+    assert np.all(after >= before - 1e-12)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(data=st.data(), psi=states(4), phase=st.floats(0.0, 2 * math.pi))
+def test_verdict_ignores_global_phase_and_qubit_order(data, psi, phase):
+    report = decide(psi)
+    # Away from the threshold, so that a 1e-9 move of the objective cannot
+    # flip the verdict.
+    assume(abs(report.margin - DECISION_TAU * report.bound) >= 1e-3 * report.bound)
+    order = data.draw(st.permutations(range(psi.n)))
+    moved = (
+        PureState(np.exp(1j * phase) * psi.amplitudes),
+        PureState(np.transpose(psi.tensor(), order).reshape(-1)),
+    )
+    for other in moved:
+        other_report = decide(other)
+        assert other_report.verdict == report.verdict
+        assert abs(other_report.objective_value - report.objective_value) < 1e-9
