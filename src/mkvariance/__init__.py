@@ -29,9 +29,7 @@ from .criterion import (
     OptimizerMetadata,
     conjugated_variance,
     decide,
-    localize_product,
     maximize_objective,
-    objective,
     phase_fix,
     variance,
 )
@@ -39,19 +37,13 @@ from .linalg import (
     DENSE_QUBIT_CAP,
     MAX_QUBITS,
     PureState,
-    apply_operator,
     apply_single_qubit,
-    expectation,
-    kron,
     reduced_density,
-    spin_observable,
-    unit_vector3,
 )
 from .oracle import (
     ORACLE_EPSILON,
     OracleVerdict,
     is_product_oracle,
-    random_product_factors,
     random_product_state,
     random_state,
 )
@@ -72,30 +64,22 @@ __all__ = [
     "OptimizerMetadata",
     "OracleVerdict",
     "PureState",
-    "apply_operator",
     "apply_single_qubit",
     "canonical_mk",
     "canonical_settings",
     "conjugated_variance",
     "decide",
-    "expectation",
     "generalized_ghz",
     "ghz",
     "is_product_oracle",
-    "kron",
-    "localize_product",
     "max_mk_mean",
     "maximize_objective",
     "mk_mean",
     "mk_pair",
-    "objective",
     "phase_fix",
-    "random_product_factors",
     "random_product_state",
     "random_state",
     "reduced_density",
-    "spin_observable",
-    "unit_vector3",
     "variance",
 ]
 

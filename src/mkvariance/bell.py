@@ -23,7 +23,6 @@ literal recursion lives in the tests as an independent reference.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,11 +36,10 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     PureState,
-    kron,
+    has_bool,
     qubit_count,
 )
 
-SPECTRAL_BUILD_TOL = 1e-10
 _PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 
 
@@ -86,16 +84,11 @@ class MeasurementSettings:
         pairs = data["pairs"]
         if len(pairs) != n:
             raise ValueError(f"expected {n} pairs, got {len(pairs)}")
+        if has_bool(pairs):
+            raise ValueError("directions must be numbers, not booleans")
         a = np.array([p["a"] for p in pairs], dtype=float)
         ap = np.array([p["a_prime"] for p in pairs], dtype=float)
         return cls(n=n, a=a, a_prime=ap)
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MeasurementSettings":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _prefactor(n: int) -> complex:
@@ -144,9 +137,9 @@ class MKOperator:
         if self._dense_cache is None:
             if self.n > DENSE_QUBIT_CAP:
                 raise ValueError(f"dense MK matrices are capped at {DENSE_QUBIT_CAP} qubits")
-            m = np.eye(1)
+            m = np.eye(1, dtype=complex)
             for factor in self._gates[0]:
-                m = kron(m, factor)
+                m = np.kron(m, factor)
             m = _prefactor(self.n) * m
             mat = (m + m.conj().T) / 2
             mat.setflags(write=False)
@@ -253,41 +246,13 @@ def generalized_ghz(n: int, phi: float) -> PureState:
     return PureState(amps)
 
 
-def _ghz_spectral_matrix(n: int) -> np.ndarray:
-    gp = ghz(n, +1).amplitudes
-    gm = ghz(n, -1).amplitudes
-    scale = 2 ** ((n - 1) / 2)
-    return scale * (np.outer(gp, gp.conj()) - np.outer(gm, gm.conj()))
-
-
 @lru_cache(maxsize=None)
 def canonical_mk(n: int) -> MKOperatorPair:
-    """MK pair for the canonical settings, validated against its spectral form.
+    """MK pair for the canonical settings, built once per n.
 
-    For n <= DENSE_QUBIT_CAP the dense matrix is compared entrywise with
-    2**((n-1)/2) (P+ - P-) built from the GHZ projectors; beyond that the
-    GHZ eigenvector residuals are checked matrix-free.  A failure here means
-    the angle convention is wrong and is raised loudly.
+    Its B is 2**((n-1)/2) (P+ - P-) for the GHZ projectors P+ and P-.
     """
-    pair = mk_pair(canonical_settings(n))
-    scale = 2 ** ((n - 1) / 2)
-    if n <= DENSE_QUBIT_CAP:
-        deviation = float(np.max(np.abs(pair.bell.dense() - _ghz_spectral_matrix(n))))
-        if deviation >= SPECTRAL_BUILD_TOL:
-            raise AssertionError(
-                f"canonical MK operator for n={n} deviates from its spectral form "
-                f"by {deviation:.3e}; angle convention is broken"
-            )
-    else:
-        for sign in (+1, -1):
-            g = ghz(n, sign).amplitudes
-            residual = float(np.linalg.norm(pair.bell.apply(g) - sign * scale * g))
-            if residual >= SPECTRAL_BUILD_TOL * scale:
-                raise AssertionError(
-                    f"canonical MK operator for n={n} fails the GHZ eigenvector "
-                    f"check (residual {residual:.3e})"
-                )
-    return pair
+    return mk_pair(canonical_settings(n))
 
 
 def _means(t: np.ndarray, a: np.ndarray, a_prime: np.ndarray) -> np.ndarray:

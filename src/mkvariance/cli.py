@@ -29,7 +29,7 @@ from .bell import (
     mk_pair,
 )
 from .criterion import DECISION_TAU, OptimizerConfig, check_tau, decide, variance
-from .linalg import DENSE_QUBIT_CAP, MAX_QUBITS, PureState, qubit_count
+from .linalg import DENSE_QUBIT_CAP, MAX_QUBITS, PureState, has_bool, qubit_count
 from .oracle import is_product_oracle, random_product_state, random_state
 
 EXIT_ENTANGLED = 0
@@ -47,6 +47,8 @@ def load_state_file(path: str) -> tuple[PureState, float]:
     raw = data["amplitudes"]
     if len(raw) != 2**n:
         raise ValueError(f"expected {2**n} amplitudes for n={n}, got {len(raw)}")
+    if has_bool(raw):
+        raise ValueError("amplitudes must be numbers, not booleans")
     amps = np.array([complex(re, im) for re, im in raw])
     deviation = abs(float(np.linalg.norm(amps)) - 1.0)
     return PureState(amps), deviation
@@ -77,7 +79,7 @@ def _cmd_decide(args) -> int:
     try:
         config = _config_from_args(args)
         psi, deviation = load_state_file(args.state_file)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if psi.n < 2:
@@ -141,7 +143,7 @@ def _cmd_mk_op(args) -> int:
                 raise ValueError("provide a settings file or --canonical n")
             with open(args.settings_file, "r", encoding="utf-8") as fh:
                 settings = MeasurementSettings.from_json_dict(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
@@ -221,7 +223,7 @@ def _selftest_matrix_free(seed: int) -> tuple[int, int, list[str]]:
     return total - len(failures), total, failures
 
 
-def _selftest_oracle_agreement(seed: int, states: int, inject_failure: bool) -> tuple[int, int, list[str]]:
+def _selftest_oracle_agreement(seed: int, states: int) -> tuple[int, int, list[str]]:
     config = OptimizerConfig(seed=seed)
     failures = []
     total = 0
@@ -237,15 +239,6 @@ def _selftest_oracle_agreement(seed: int, states: int, inject_failure: bool) -> 
             expected = "product" if is_product_oracle(psi).is_product else "entangled"
             if decide(psi, config).verdict != expected:
                 failures.append(f"oracle-agreement: random state n={n} seed={k} disagrees")
-    if inject_failure:
-        total += 1
-        bad = np.zeros(8, dtype=complex)
-        bad[0] = 1.1  # deliberately norm-violating
-        try:
-            PureState(bad)
-            failures.append("oracle-agreement: injected norm-violating state was accepted")
-        except ValueError:
-            failures.append("oracle-agreement: forced failure injected (norm-violating state)")
     return total - len(failures), total, failures
 
 
@@ -262,10 +255,7 @@ def _cmd_selftest(args) -> int:
         ("spectral", _selftest_spectral()),
         ("norm-bound", _selftest_norm_bound(args.seed)),
         ("matrix-free", _selftest_matrix_free(args.seed)),
-        (
-            "oracle-agreement",
-            _selftest_oracle_agreement(args.seed, args.states, args.inject_failure),
-        ),
+        ("oracle-agreement", _selftest_oracle_agreement(args.seed, args.states)),
     ]
     for name, (passed, total, failures) in suites:
         print(f"{name}: {passed}/{total} passed")
@@ -311,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the built-in verification suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--states", type=int, default=10, help="states per oracle-agreement block")
-    p.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

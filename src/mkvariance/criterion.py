@@ -33,10 +33,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bell import canonical_mk
-from .linalg import DENSE_QUBIT_CAP, PureState, _is_integer, apply_single_qubit, kron
+from .linalg import PureState, _is_integer, apply_single_qubit
 
 DECISION_TAU = 1e-6
 UNITARY_TOL = 1e-10
+STEP_TOLERANCE = 1e-10
+VALUE_TOLERANCE = 1e-12
 
 
 def check_tau(tau: float) -> None:
@@ -47,7 +49,7 @@ def check_tau(tau: float) -> None:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the multi-start searches; defaults match the shipped tests.
+    """Seed, start count and sweep cap of the multi-start searches.
 
     ``starts=None`` resolves to max(32, 8n) at run time.
     """
@@ -55,8 +57,6 @@ class OptimizerConfig:
     seed: int = 0
     starts: int | None = None
     max_iterations: int = 300
-    step_tolerance: float = 1e-10
-    value_tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
         if not (_is_integer(self.seed) and self.seed >= 0):
@@ -65,9 +65,6 @@ class OptimizerConfig:
             raise ValueError(f"starts must be an integer >= 1, got {self.starts!r}")
         if not (_is_integer(self.max_iterations) and self.max_iterations >= 1):
             raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
-        for tol in (self.step_tolerance, self.value_tolerance):
-            if not (tol > 0) or not math.isfinite(tol):
-                raise ValueError(f"tolerances must be positive and finite, got {tol!r}")
 
     def resolved_starts(self, n: int) -> int:
         return self.starts if self.starts is not None else max(32, 8 * n)
@@ -103,15 +100,6 @@ class LocalUnitary:
         out = np.asarray(vec, dtype=complex)
         for j, u in enumerate(self.factors, start=1):
             out = apply_single_qubit(out, self.n, j, u)
-        return out
-
-    def matrix(self) -> np.ndarray:
-        """Explicit 2^n x 2^n matrix; n <= DENSE_QUBIT_CAP."""
-        if self.n > DENSE_QUBIT_CAP:
-            raise ValueError(f"dense form is capped at {DENSE_QUBIT_CAP} qubits")
-        out = np.eye(1, dtype=complex)
-        for u in self.factors:
-            out = kron(out, u)
         return out
 
 
@@ -192,13 +180,6 @@ def _end_overlaps(psi: PureState, unitary: LocalUnitary) -> tuple[complex, compl
     return complex(rotated[0]), complex(rotated[-1])
 
 
-def objective(psi: PureState, unitary: LocalUnitary) -> float:
-    """|<0..0|U psi>|^2 + |<1..1|U psi>|^2, the modulus form of the quadratic
-    objective; equals the constrained form once the overlaps are phase-fixed."""
-    a, b = _end_overlaps(psi, unitary)
-    return abs(a) ** 2 + abs(b) ** 2
-
-
 def phase_fix(psi: PureState, unitary: LocalUnitary) -> LocalUnitary:
     """Left-multiply by a diagonal phase gate on qubit 1 so both end overlaps
     become real and nonnegative; moduli (and the objective) are unchanged.
@@ -211,25 +192,6 @@ def phase_fix(psi: PureState, unitary: LocalUnitary) -> LocalUnitary:
     gate = np.diag([np.exp(1j * phase_a), np.exp(1j * phase_b)])
     factors = (gate @ unitary.factors[0],) + unitary.factors[1:]
     return LocalUnitary(factors=factors)
-
-
-def localize_product(factors) -> LocalUnitary:
-    """Local unitary sending a known product state to |0...0>.
-
-    Each U_j has the conjugated factor state as its first row, completed to
-    a unitary by the canonical orthogonal complement.
-    """
-    mats = []
-    for j, f in enumerate(factors):
-        f = np.asarray(f, dtype=complex).reshape(-1)
-        if f.shape != (2,):
-            raise ValueError(f"factor {j + 1} is not a single-qubit state")
-        norm = float(np.linalg.norm(f))
-        if not abs(norm - 1.0) < 1e-6:
-            raise ValueError(f"factor {j + 1} has norm {norm!r}")
-        f = f / norm
-        mats.append(np.array([[f[0].conj(), f[1].conj()], [-f[1], f[0]]]))
-    return LocalUnitary(factors=tuple(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +286,7 @@ def _ascend_batch(
     ``params`` hold one row per start and ``values`` their current values;
     ``sweep(*rows)`` returns the new rows, values and largest steps of the
     starts it is given.  A start stops once a sweep raises its value by less
-    than ``value_tolerance``, moves no parameter by ``step_tolerance``, or is
+    than ``VALUE_TOLERANCE``, moves no parameter by ``STEP_TOLERANCE``, or is
     its ``max_iterations``-th; stopped starts leave the batch.  Updates
     ``params`` and ``values`` in place and returns the sweep counts and the
     number of starts that stopped only at the cap.  The MK mean see-saw of
@@ -342,7 +304,7 @@ def _ascend_batch(
         # A plain slice while every start ascends spares the gather and scatter.
         index = active if active.size < len(values) else slice(None)
         *new, value, largest_step = sweep(*(p[index] for p in params))
-        done = (value - values[index] < cfg.value_tolerance) | (largest_step < cfg.step_tolerance)
+        done = (value - values[index] < VALUE_TOLERANCE) | (largest_step < STEP_TOLERANCE)
         for p, rows in zip(params, new):
             p[index] = rows
         values[index] = value

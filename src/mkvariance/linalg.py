@@ -1,10 +1,9 @@
-"""Dense complex linear algebra primitives sized for n-qubit systems.
+"""State vectors of n qubits, single-qubit gates and single-qubit reductions.
 
 State vectors use the convention that basis index ``i`` encodes qubit 1 as
 the most significant bit, so ``|0...0>`` is index 0 and ``|1...1>`` is index
-``2**n - 1``.  Explicit ``2**n x 2**n`` matrices are only used up to
-``DENSE_QUBIT_CAP`` qubits; beyond that all operator work goes through
-matrix-free handles.
+``2**n - 1``.  Explicit ``2**n x 2**n`` matrices are only built up to
+``DENSE_QUBIT_CAP`` qubits; beyond that all operator work is matrix-free.
 
 Everything in this module is a pure function of its inputs; returned arrays
 are read-only and safe to share between threads.
@@ -21,7 +20,6 @@ DENSE_QUBIT_CAP = 10
 # Largest n supported at all (matrix-free).
 MAX_QUBITS = 16
 
-EXPECTATION_IMAG_TOL = 1e-10
 NORM_REPAIR_TOL = 1e-6
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -45,50 +43,12 @@ def qubit_count(value) -> int:
     return int(value)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr)
-    out.setflags(write=False)
-    return out
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with a guard against leaving dense territory.
-
-    Entry ``((i*b_rows + k), (j*b_cols + l))`` of the result equals
-    ``a[i, j] * b[k, l]``.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kron expects two matrices")
-    cap = 2**DENSE_QUBIT_CAP
-    if a.shape[0] * b.shape[0] > cap or a.shape[1] * b.shape[1] > cap:
-        raise ValueError(
-            f"kron result exceeds the dense cap of {cap} rows/cols; "
-            "use a matrix-free operator handle instead"
-        )
-    return np.kron(a, b)
-
-
-def unit_vector3(v) -> np.ndarray:
-    """Validate and return a unit vector in R^3 (tolerance 1e-12 on the norm)."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape != (3,):
-        raise ValueError(f"expected 3 real components, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"non-finite components: {v!r}")
-    if not abs(v @ v - 1.0) < 1e-12:
-        raise ValueError(f"not a unit vector: |v|^2 = {v @ v!r}")
-    return _frozen(v)
-
-
-def spin_observable(a) -> np.ndarray:
-    """Spin observable a.sigma for a unit direction a.
-
-    Hermitian with eigenvalues +-1; squares to the identity.
-    """
-    a = unit_vector3(a)
-    return _frozen(a[0] * PAULI_X + a[1] * PAULI_Y + a[2] * PAULI_Z)
+def has_bool(value) -> bool:
+    """Whether parsed JSON holds a boolean anywhere, which Python would take
+    for the number 0 or 1."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(has_bool, value)))
 
 
 def apply_single_qubit(vec: np.ndarray, n: int, qubit: int, mat: np.ndarray) -> np.ndarray:
@@ -133,47 +93,12 @@ class PureState:
         amps[index] = 1.0
         return cls(amps)
 
-    @classmethod
-    def from_bits(cls, bits) -> "PureState":
-        """Basis state from a bit sequence, e.g. (0, 1, 0, 1) -> |0101>."""
-        bits = list(bits)
-        index = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            index = (index << 1) | b
-        return cls.basis(len(bits), index)
-
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis of dimension 2 per qubit."""
         return self.amplitudes.reshape((2,) * self.n)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PureState(n={self.n})"
-
-
-def apply_operator(op, psi: PureState) -> np.ndarray:
-    """Apply an operator handle to a state, returning the raw result vector.
-
-    The result is generally unnormalized (operators need not be unitary).
-    """
-    if op.n != psi.n:
-        raise ValueError(f"operator acts on {op.n} qubits but the state has {psi.n}")
-    return op.apply(psi.amplitudes)
-
-
-def expectation(psi: PureState, op) -> float:
-    """<psi|op|psi> for a Hermitian operator handle.
-
-    An imaginary residual below ``EXPECTATION_IMAG_TOL`` is discarded; a
-    larger one means the operator is not Hermitian and raises.
-    """
-    value = complex(np.vdot(psi.amplitudes, apply_operator(op, psi)))
-    if abs(value.imag) >= EXPECTATION_IMAG_TOL:
-        raise ValueError(
-            f"expectation has imaginary residual {value.imag!r}; operator is not Hermitian"
-        )
-    return float(value.real)
 
 
 def reduced_density(psi: PureState, qubit: int) -> np.ndarray:

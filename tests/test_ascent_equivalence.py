@@ -25,6 +25,7 @@ from mkvariance import (
     random_product_state,
     random_state,
 )
+from mkvariance.criterion import STEP_TOLERANCE, VALUE_TOLERANCE
 
 # --- reference: the per-start ascent -------------------------------------
 
@@ -89,7 +90,7 @@ def _ascend(
             xis[j], value, step = _block_update(t, xis, j)
             largest_step = max(largest_step, step)
         history.append(value)
-        if value - history[-2] < cfg.value_tolerance or largest_step < cfg.step_tolerance:
+        if value - history[-2] < VALUE_TOLERANCE or largest_step < STEP_TOLERANCE:
             return xis, value, history, False
     return xis, value, history, True
 

@@ -178,10 +178,20 @@ def test_canonical_settings_rejects_small_n():
 # --- canonical operator: keystone spectral regression ---
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_canonical_spectral_form(n):
     deviation = np.max(np.abs(canonical_mk(n).bell.dense() - spectral_form(n)))
     assert deviation < 1e-10
+
+
+@pytest.mark.parametrize("n", range(11, 17))
+def test_canonical_ghz_eigenvectors_above_the_dense_cap(n):
+    # Matrix-free: B GHZ+- = +-2**((n-1)/2) GHZ+-.
+    op = canonical_mk(n).bell
+    scale = 2 ** ((n - 1) / 2)
+    for sign in (+1, -1):
+        g = ghz(n, sign).amplitudes
+        assert np.linalg.norm(op.apply(g) - sign * scale * g) < 1e-10 * scale
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -208,6 +218,8 @@ def test_operator_norm_power_iteration_matches_dense():
     op = canonical_mk(11).bell
     assert op.n == 11
     assert op.operator_norm() == pytest.approx(2**5, rel=1e-9)
+    with pytest.raises(ValueError, match="capped at 10 qubits"):
+        op.dense()
 
 
 # --- GHZ-family states ---
@@ -362,10 +374,10 @@ def test_max_mk_mean_memory_is_chunked():
 
 def test_settings_json_round_trip():
     settings = canonical_settings(3)
-    data = json.loads(settings.to_json())
+    data = json.loads(json.dumps(settings.to_json_dict()))
     assert data["n"] == 3
     assert set(data["pairs"][0]) == {"a", "a_prime"}
-    back = MeasurementSettings.from_json(settings.to_json())
+    back = MeasurementSettings.from_json_dict(data)
     np.testing.assert_array_equal(back.a, settings.a)
     np.testing.assert_array_equal(back.a_prime, settings.a_prime)
 

@@ -1,12 +1,13 @@
 """CLI behavior: exit codes, JSON output, file round-trips, selftest."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from mkvariance import PureState, generalized_ghz, random_state
+from mkvariance import PureState, cli, generalized_ghz, random_state
 from mkvariance.cli import load_state_file, main, write_state_file
 
 
@@ -37,7 +38,7 @@ def test_decide_entangled_generalized_ghz(tmp_path, capsys):
 
 
 def test_decide_product_basis_state(tmp_path, capsys):
-    path = state_file(tmp_path, PureState.from_bits((0, 1, 0, 1)))
+    path = state_file(tmp_path, PureState.basis(4, 0b0101))
     code, out, _ = run_cli(capsys, ["decide", path])
     assert code == 1
     data = json.loads(out)
@@ -92,6 +93,20 @@ def test_decide_rejects_non_integer_n(tmp_path, capsys, n, count):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "integer" in err
+
+
+@pytest.mark.parametrize("first, zero, word", [(True, False, "boolean"), (10**400, 0, "too large")],
+                         ids=["boolean", "huge-integer"])
+def test_decide_rejects_non_float_amplitudes(tmp_path, capsys, first, zero, word):
+    # json.load reads true as True, and complex(True, False) is 1 + 0j; an
+    # integer beyond the float range makes complex() raise OverflowError.
+    path = tmp_path / "amplitudes.json"
+    path.write_text(json.dumps({"n": 2, "amplitudes": [[first, zero]] + [[zero, zero]] * 3}))
+    code, out, err = run_cli(capsys, ["decide", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert word in err
 
 
 def test_load_state_file_rejects_non_integer_n(tmp_path):
@@ -205,14 +220,14 @@ def test_mk_op_reads_settings_file_and_swapped_roundtrip(tmp_path, capsys):
 
     settings = canonical_settings(3)
     path = tmp_path / "settings.json"
-    path.write_text(settings.to_json())
+    path.write_text(json.dumps(settings.to_json_dict()))
     code, out, _ = run_cli(capsys, ["mk-op", str(path), "--dump-matrix"])
     assert code == 0
     data = json.loads(out)
     matrix = np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
     # The dumped matrix rebuilt from swapped settings reproduces B'.
     swapped_path = tmp_path / "swapped.json"
-    swapped_path.write_text(settings.swapped().to_json())
+    swapped_path.write_text(json.dumps(settings.swapped().to_json_dict()))
     code2, out2, _ = run_cli(capsys, ["mk-op", str(swapped_path), "--dump-matrix"])
     assert code2 == 0
     swapped_matrix = np.array(
@@ -245,6 +260,17 @@ def test_mk_op_rejects_non_integer_n(tmp_path, capsys, n):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "integer" in err
+
+
+@pytest.mark.parametrize("first, word", [(True, "boolean"), (10**400, "too large")], ids=["boolean", "huge-integer"])
+def test_mk_op_rejects_non_float_direction(tmp_path, capsys, first, word):
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps({"n": 1, "pairs": [{"a": [first, 0, 0], "a_prime": [0.0, 1.0, 0.0]}]}))
+    code, out, err = run_cli(capsys, ["mk-op", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert word in err
 
 
 def test_mk_op_above_dense_cap_reports_power_iteration_norm(capsys):
@@ -299,8 +325,17 @@ def test_selftest_rejects_no_states(capsys, states):
     assert "states" in err
 
 
-def test_selftest_forced_failure(capsys):
-    code, out, err = run_cli(capsys, ["selftest", "--states", "2", "--inject-failure"])
-    assert code != 0
+def test_selftest_forced_failure(capsys, monkeypatch):
+    # The first oracle-agreement check, a product state, is told "entangled".
+    decide, reports = cli.decide, []
+
+    def decide_flipping_the_first(psi, config):
+        reports.append(decide(psi, config))
+        return dataclasses.replace(reports[-1], verdict="entangled") if len(reports) == 1 else reports[-1]
+
+    monkeypatch.setattr(cli, "decide", decide_flipping_the_first)
+    code, out, err = run_cli(capsys, ["selftest", "--states", "2"])
+    assert code == 1
+    assert "oracle-agreement: 7/8 passed" in out
     assert "selftest: FAIL" in out
-    assert "norm-violating" in err
+    assert err.splitlines() == ["FAIL oracle-agreement: product state n=2 seed=0 misclassified"]

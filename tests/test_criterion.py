@@ -1,10 +1,12 @@
 """Variance computation, the local-unitary objective search, and the verdict.
 
 Independent oracles used here: explicit dense conjugation U^dag B U for the
-covariance identity, the closed-form localizer for product states, and a
-fine grid over the reduced angle space for the two-qubit singlet.
+covariance identity, the closed-form localizer for product states (in
+``overlap_reference``), and a fine grid over the reduced angle space for the
+two-qubit singlet.
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -21,16 +23,16 @@ from mkvariance import (
     generalized_ghz,
     ghz,
     is_product_oracle,
-    localize_product,
     maximize_objective,
-    objective,
     phase_fix,
-    random_product_factors,
     random_product_state,
     random_state,
     variance,
 )
-from mkvariance.criterion import _ascend_batch, _objective, _rows, _sweep
+from mkvariance.criterion import STEP_TOLERANCE, VALUE_TOLERANCE, _ascend_batch, _objective, _rows, _sweep
+from mkvariance.oracle import random_product_factors
+
+from overlap_reference import localize_product, objective
 
 
 def haar_factor(rng):
@@ -42,6 +44,11 @@ def haar_factor(rng):
 
 def random_local_unitary(rng, n):
     return LocalUnitary(factors=tuple(haar_factor(rng) for _ in range(n)))
+
+
+def dense_matrix(unitary):
+    """U_1 (x) ... (x) U_n as an explicit matrix."""
+    return functools.reduce(np.kron, unitary.factors, np.eye(1, dtype=complex))
 
 
 def product_from_factors(factors):
@@ -122,7 +129,7 @@ def test_conjugated_variance_matches_dense_conjugation():
         unitary = random_local_unitary(rng, n)
         psi = random_state(n, int(rng.integers(2**31)))
         b = canonical_mk(n).bell.dense()
-        u = unitary.matrix()
+        u = dense_matrix(unitary)
         conjugated = u.conj().T @ b @ u
         mean = np.vdot(psi.amplitudes, conjugated @ psi.amplitudes).real
         square = np.vdot(psi.amplitudes, conjugated @ conjugated @ psi.amplitudes).real
@@ -198,7 +205,7 @@ def test_phase_fix_preserves_objective():
 
 def test_localize_product_on_zero_factors():
     unitary = localize_product([np.array([1.0, 0.0])] * 3)
-    np.testing.assert_allclose(unitary.matrix(), np.eye(8), atol=1e-14)
+    np.testing.assert_allclose(dense_matrix(unitary), np.eye(8), atol=1e-14)
 
 
 def test_localize_product_hadamard_like():
@@ -283,7 +290,7 @@ def test_ascent_iterations_are_monotone():
         for _ in range(cfg.max_iterations):
             batch, values, largest_step = _sweep(t, batch)
             history.append(values[0])
-            if history[-1] - history[-2] < cfg.value_tolerance or largest_step[0] < cfg.step_tolerance:
+            if history[-1] - history[-2] < VALUE_TOLERANCE or largest_step[0] < STEP_TOLERANCE:
                 break
         values = _objective(t, _rows(np.array([xis])))
         sweeps, _ = _ascend_batch(lambda rows: _sweep(t, rows), (_rows(np.array([xis])),), values, cfg)
@@ -439,15 +446,8 @@ def test_local_unitary_rejects_non_finite(bad):
 def test_optimizer_config_validation():
     with pytest.raises(ValueError, match="starts"):
         OptimizerConfig(starts=0)
-    with pytest.raises(ValueError, match="tolerances"):
-        OptimizerConfig(value_tolerance=0.0)
     assert OptimizerConfig().resolved_starts(6) == 48
     assert OptimizerConfig(starts=7).resolved_starts(6) == 7
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="tolerances"):
-            OptimizerConfig(step_tolerance=bad)
-        with pytest.raises(ValueError, match="tolerances"):
-            OptimizerConfig(value_tolerance=bad)
     for bad in (1.5, 2.0, True, "3"):
         with pytest.raises(ValueError, match="starts"):
             OptimizerConfig(starts=bad)

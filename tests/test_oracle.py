@@ -11,12 +11,12 @@ from mkvariance import (
     generalized_ghz,
     ghz,
     is_product_oracle,
-    localize_product,
-    objective,
-    random_product_factors,
     random_product_state,
     random_state,
 )
+from mkvariance.oracle import random_product_factors
+
+from overlap_reference import localize_product, objective
 
 
 def purity_oracle(amps, n, qubit):

@@ -1,4 +1,5 @@
-"""Invariants of the overlap ascent and the verdict, checked on drawn inputs.
+"""Invariants of the overlap ascent and the verdict, and the product-form MK
+pair against the literal recursion, checked on drawn inputs.
 
 Examples are derandomized and bounded, so every run checks the same states.
 """
@@ -9,8 +10,10 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mkvariance import DECISION_TAU, PureState, decide
+from mkvariance import DECISION_TAU, MeasurementSettings, PureState, decide, mk_pair
 from mkvariance.criterion import _objective, _rows, _sweep
+
+from klyshko_reference import dense_pair
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -23,6 +26,25 @@ def states(draw, max_n):
     norm = np.linalg.norm(amplitudes)
     assume(norm > 1e-3)
     return PureState(amplitudes / norm)
+
+
+@st.composite
+def unit_vectors(draw, count):
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=3 * count, max_size=3 * count))
+    vectors = np.array(parts).reshape(count, 3)
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    assume(np.all(norms > 1e-3))
+    return vectors / norms
+
+
+@settings(PROPERTY, max_examples=100)
+@given(data=st.data(), psi=states(5))
+def test_product_form_applies_the_literal_recursion(data, psi):
+    drawn = MeasurementSettings(n=psi.n, a=data.draw(unit_vectors(psi.n)), a_prime=data.draw(unit_vectors(psi.n)))
+    pair = mk_pair(drawn)
+    b, b_prime = dense_pair(drawn)
+    assert np.max(np.abs(pair.bell.apply(psi.amplitudes) - b @ psi.amplitudes)) <= 1e-12
+    assert np.max(np.abs(pair.bell_swapped.apply(psi.amplitudes) - b_prime @ psi.amplitudes)) <= 1e-12
 
 
 @settings(PROPERTY, max_examples=100)

@@ -24,8 +24,7 @@ from mkvariance import (
     random_state,
 )
 from mkvariance.bell import _factors, _means, _sweep
-from mkvariance.criterion import _ascend_batch
-from mkvariance.linalg import kron
+from mkvariance.criterion import STEP_TOLERANCE, VALUE_TOLERANCE, _ascend_batch
 
 from klyshko_reference import dense_pair, raw_mean
 
@@ -79,7 +78,7 @@ def _reference_ascend(vec, n, a, ap, cfg):
                 step = max(step, float(np.linalg.norm(new_p - ap[j])))
                 ap[j] = new_p
         value = raw_mean(a, ap, vec)
-        if value - previous < cfg.value_tolerance or step < cfg.step_tolerance:
+        if value - previous < VALUE_TOLERANCE or step < STEP_TOLERANCE:
             return np.array(a), np.array(ap), value, iters, False
     return np.array(a), np.array(ap), value, iters, True
 
@@ -171,5 +170,5 @@ def test_product_form_matches_dense_recursion(n):
         b, b_prime = dense_pair(settings)
         product = np.eye(1)
         for factor in _factors(settings.a, settings.a_prime):
-            product = kron(product, factor)
+            product = np.kron(product, factor)
         assert np.max(np.abs(b + 1j * b_prime - ((1 - 1j) / 2) ** (n - 1) * product)) <= 1e-12
