@@ -324,14 +324,13 @@ def max_mk_mean(psi: PureState, config=None) -> MKMeanResult:
     each qubit's pair (a_j, a'_j) with the others held fixed, so every block
     update is exact (see ``_sweep``).  Start 0 is the canonical fan, start 1
     the all-z axial configuration, the rest are seeded random directions.
-    All starts ascend together in chunks of 2**18 // (n 2**n), which bounds
-    the cached kets; each start stops on its own rule, and ties resolve to
-    the lowest start index.  ``total_sweeps`` adds up the sweeps of all
-    starts; ``capped_starts`` counts those that used all ``max_iterations``
-    sweeps without meeting either tolerance.
+    The starts run on ``criterion._ascend_batch`` with no ceiling, in chunks
+    of 2**18 // (n 2**n), which bounds the cached kets.  ``total_sweeps``
+    adds up the sweeps of all starts; ``capped_starts`` counts those that
+    used all ``max_iterations`` sweeps without meeting either tolerance.
     """
     # Deferred: criterion imports this module.
-    from .criterion import _CHUNK_AMPLITUDES, OptimizerConfig, _ascend_batch, _best_start
+    from .criterion import _CHUNK_AMPLITUDES, OptimizerConfig, _ascend_batch
 
     cfg = config if config is not None else OptimizerConfig()
     n = psi.n
@@ -347,19 +346,10 @@ def max_mk_mean(psi: PureState, config=None) -> MKMeanResult:
     dirs = np.concatenate([[[canon.a, canon.a_prime], axial], drawn])[:starts]
     a, a_prime = dirs[:, 0].copy(), dirs[:, 1].copy()
 
-    values = np.empty(starts)
-    sweeps = np.empty(starts, dtype=int)
-    capped = 0
-    chunk = max(1, _CHUNK_AMPLITUDES // (n << n))
-    for lo in range(0, starts, chunk):
-        part = slice(lo, lo + chunk)
-        values[part] = _means(psi.amplitudes, a[part], a_prime[part])
-        sweeps[part], stuck = _ascend_batch(
-            lambda *p: _sweep(psi.amplitudes, *p), (a[part], a_prime[part]), values[part], cfg)
-        capped += stuck
-
-    best = _best_start(values)
+    values, sweeps, unfinished, best = _ascend_batch(
+        lambda *p: _means(psi.amplitudes, *p), lambda *p: _sweep(psi.amplitudes, *p), (a, a_prime), cfg,
+        max(1, _CHUNK_AMPLITUDES // (n << n)))
     return MKMeanResult(
         settings=MeasurementSettings(n=n, a=a[best], a_prime=a_prime[best]),
         value=float(values[best]), starts=starts, iterations=int(sweeps[best]),
-        best_start=best, total_sweeps=int(sweeps.sum()), capped_starts=capped)
+        best_start=best, total_sweeps=int(sweeps.sum()), capped_starts=int(unfinished.sum()))

@@ -79,7 +79,7 @@ def _cmd_decide(args) -> int:
     try:
         config = _config_from_args(args)
         psi, deviation = load_state_file(args.state_file)
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if psi.n < 2:
@@ -143,7 +143,7 @@ def _cmd_mk_op(args) -> int:
                 raise ValueError("provide a settings file or --canonical n")
             with open(args.settings_file, "r", encoding="utf-8") as fh:
                 settings = MeasurementSettings.from_json_dict(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

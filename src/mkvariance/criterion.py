@@ -15,10 +15,12 @@ afterwards by a diagonal phase gate on qubit 1.
 All starts ascend together as one batch, which holds each factor U_j as its
 rows and updates them in place.  A sweep builds the Kronecker products of the
 rows of the qubits still to be updated once, and carries the state contracted
-with the rows already updated, so it costs O(S 2**n) for S starts.  A start
-leaves the batch once its own stopping rule fires.  Starts run in chunks of
-2**18 // 2**n, which bounds the working memory at large n.  The search ends
-early, with the same result, once the tie-rule best of the stopped starts
+with the rows already updated, so it costs O(S 2**n) for S starts.
+``_ascend_batch`` drives this search and the MK mean see-saw of
+``bell.max_mk_mean`` alike: it runs the starts in chunks that bound the
+working memory at large n, stops each start on its own rule, and keeps the
+lowest-index best.  Here a chunk holds 2**18 // 2**n starts, and the search
+ends early, with the same result, once the best of the stopped starts
 reaches the objective's ceiling 1: no later start can beat it.
 
 With canonical settings the MK operator is 2**((n-1)/2) (|0..0><1..1| +
@@ -91,10 +93,6 @@ class LocalUnitary:
     @property
     def n(self) -> int:
         return len(self.factors)
-
-    @classmethod
-    def identity(cls, n: int) -> "LocalUnitary":
-        return cls(factors=tuple(np.eye(2, dtype=complex) for _ in range(n)))
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         out = np.asarray(vec, dtype=complex)
@@ -206,7 +204,8 @@ def phase_fix(psi: PureState, unitary: LocalUnitary) -> LocalUnitary:
 # ---------------------------------------------------------------------------
 
 # Starts are ascended in chunks of 2**18 // 2**n (at least one), which keeps
-# a sweep's suffix and left-contracted arrays to a few MB at any n.
+# a sweep's suffix and left-contracted arrays to a few MB at any n; the MK
+# mean see-saw divides the same budget by its n cached kets.
 _CHUNK_AMPLITUDES = 2**18
 
 # No objective exceeds 1 by more than roundoff, so a tie-rule best above
@@ -279,44 +278,53 @@ def _sweep(t: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _ascend_batch(
-    sweep, params: tuple, values: np.ndarray, cfg: OptimizerConfig, at_ceiling=None, unfinished=None
-) -> tuple[np.ndarray, int]:
-    """Sweeps each start of a batch until its own stopping rule fires.
+    evaluate, sweep, params: tuple, cfg: OptimizerConfig, chunk: int, ceiling: float = math.inf
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The multi-start driver of both block ascents.
 
-    ``params`` hold one row per start and ``values`` their current values;
-    ``sweep(*rows)`` returns the new rows, values and largest steps of the
-    starts it is given.  A start stops once a sweep raises its value by less
-    than ``VALUE_TOLERANCE``, moves no parameter by ``STEP_TOLERANCE``, or is
-    its ``max_iterations``-th; stopped starts leave the batch.  Updates
-    ``params`` and ``values`` in place and returns the sweep counts and the
-    number of starts that stopped only at the cap.  The MK mean see-saw of
-    ``bell.max_mk_mean`` runs on it too.
-
-    ``at_ceiling``, if given, is asked after every sweep that leaves starts
-    below the cap still ascending, with the index of the first of them; if
-    it answers True those starts are abandoned with the sweeps they ran, and
-    they do not count as capped.  ``unfinished``, if given, is set True at
-    the starts that met neither tolerance, capped or abandoned.
+    ``params`` hold one row per start.  Starts run in chunks of ``chunk``;
+    ``evaluate(*rows)`` gives a chunk's starting values and ``sweep(*rows)``
+    the new rows, values and largest steps of the starts it is given.  A
+    start stops once a sweep raises its value by less than
+    ``VALUE_TOLERANCE``, moves no parameter by ``STEP_TOLERANCE``, or is its
+    ``max_iterations``-th; stopped starts leave the batch, and ``params``
+    are updated in place.  The best start is the lowest index among those
+    whose values agree to 1e-12, carried along as starts stop; once it
+    exceeds ``ceiling`` the starts still ascending are abandoned with the
+    sweeps they ran and later chunks never run.  Returns each start's value,
+    its sweep count and whether it met neither tolerance (capped or
+    abandoned), and the best start.
     """
-    sweeps = np.zeros(len(values), dtype=int)
-    active = np.arange(len(values))
-    for sweep_count in range(1, cfg.max_iterations + 1):
-        # A plain slice while every start ascends spares the gather and scatter.
-        index = active if active.size < len(values) else slice(None)
-        *new, value, largest_step = sweep(*(p[index] for p in params))
-        done = (value - values[index] < VALUE_TOLERANCE) | (largest_step < STEP_TOLERANCE)
-        for p, rows in zip(params, new):
-            p[index] = rows
-        values[index] = value
-        sweeps[index] += 1
-        active = active[~done]
-        if active.size == 0 or (
-            at_ceiling is not None and sweep_count < cfg.max_iterations and at_ceiling(active[0])
-        ):
+    starts = len(params[0])
+    values = np.zeros(starts)
+    sweeps = np.zeros(starts, dtype=int)
+    unfinished = np.zeros(starts, dtype=bool)
+    best = settled = 0
+    for lo in range(0, starts, chunk):
+        part = tuple(p[lo:lo + chunk] for p in params)
+        vals, counts = values[lo:lo + chunk], sweeps[lo:lo + chunk]
+        vals[:] = evaluate(*part)
+        active = np.arange(len(vals))
+        for sweep_count in range(1, cfg.max_iterations + 1):
+            # A plain slice while every start ascends spares the gather and scatter.
+            index = active if active.size < len(vals) else slice(None)
+            *new, value, largest_step = sweep(*(p[index] for p in part))
+            done = (value - vals[index] < VALUE_TOLERANCE) | (largest_step < STEP_TOLERANCE)
+            for p, rows in zip(part, new):
+                p[index] = rows
+            vals[index] = value
+            counts[index] += 1
+            active = active[~done]
+            # The starts before the first one still ascending have stopped, and
+            # after the last sweep all have; the best is final only once one has.
+            stopped = lo + (active[0] if active.size and sweep_count < cfg.max_iterations else len(vals))
+            best, settled = _best_start(values[:stopped], best, settled), stopped
+            if active.size == 0 or (settled and values[best] > ceiling):
+                break
+        unfinished[lo + active] = True
+        if values[best] > ceiling:
             break
-    if unfinished is not None:
-        unfinished[active] = True
-    return sweeps, int(np.sum(sweeps[active] == cfg.max_iterations))
+    return values, sweeps, unfinished, best
 
 
 def _best_start(values: np.ndarray, best: int = 0, start: int = 0) -> int:
@@ -336,18 +344,15 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
 
     The identity is always start 0, so the result never falls below the
     identity's converged value.  Remaining starts use seeded uniform random
-    angles (theta in [0, pi], chi in [0, 2 pi)).  All starts ascend together
-    in chunks of 2**18 // 2**n.  Among starts whose values agree to 1e-12
-    the lowest start index wins, which makes the result independent of
-    evaluation order.  Once that choice over the starts that have stopped
-    exceeds 1 - 5e-13, the starts still ascending are abandoned and later
-    chunks never run, since no objective exceeds 1 beyond roundoff.
-    ``total_sweeps`` adds up the sweeps of all starts, abandoned ones
-    included; ``capped_starts`` counts the starts that used all
-    ``max_iterations`` sweeps without meeting either tolerance.
-    ``starts_at_best`` counts the stopped starts within 1e-9 of the best
-    value, not those abandoned at the ceiling or in chunks that never ran;
-    ``converged`` says that the best start met a tolerance before the cap.
+    angles (theta in [0, pi], chi in [0, 2 pi)).  The starts run on
+    ``_ascend_batch`` in chunks of 2**18 // 2**n with the ceiling 1 - 5e-13,
+    since no objective exceeds 1 beyond roundoff.  ``total_sweeps`` adds up
+    the sweeps of all starts, abandoned ones included; ``capped_starts``
+    counts the starts that used all ``max_iterations`` sweeps without
+    meeting either tolerance.  ``starts_at_best`` counts the stopped starts
+    within 1e-9 of the best value, not those abandoned at the ceiling or in
+    chunks that never ran; ``converged`` says that the best start met a
+    tolerance before the cap.
     """
     cfg = config if config is not None else OptimizerConfig()
     n = psi.n
@@ -361,31 +366,10 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
         angles[k, 1] = rng.uniform(0.0, 2 * math.pi, size=n)
     thetas, chis = angles[:, 0], angles[:, 1]
     rows = _rows(np.stack([np.cos(thetas / 2), np.exp(1j * chis) * np.sin(thetas / 2)], axis=-1))
-    values = np.zeros(starts)
-    sweeps = np.zeros(starts, dtype=int)
-    unfinished = np.zeros(starts, dtype=bool)
     t = psi.tensor()
     chunk = max(1, _CHUNK_AMPLITUDES >> n)
-    best = settled = 0
-    hit = False
-
-    def at_ceiling(stopped: int) -> bool:
-        # Carries the tie-rule best over the first `stopped` starts, all of
-        # which have stopped; once that best is at the ceiling it is final.
-        nonlocal best, settled, hit
-        if not hit and stopped > settled:
-            best, settled = _best_start(values[:stopped], best, settled), stopped
-            hit = values[best] > _CEILING
-        return hit
-
-    for lo in range(0, starts, chunk):
-        if at_ceiling(lo):
-            break
-        part = slice(lo, lo + chunk)
-        values[part] = _objective(t, rows[part])
-        sweeps[part], _ = _ascend_batch(lambda r: _sweep(t, r), (rows[part],), values[part], cfg,
-                                        lambda f: at_ceiling(lo + f), unfinished[part])
-    at_ceiling(starts)
+    values, sweeps, unfinished, best = _ascend_batch(
+        lambda r: _objective(t, r), lambda r: _sweep(t, r), (rows,), cfg, chunk, _CEILING)
     abandoned = unfinished & (sweeps < cfg.max_iterations)  # a capped start ran all its sweeps
 
     unitary = phase_fix(psi, LocalUnitary(factors=tuple(rows[best])))

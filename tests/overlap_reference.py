@@ -1,5 +1,6 @@
 """Fixtures for the overlap objective: its value at a given local unitary,
-and the local unitary that sends a known product state to |0...0>.
+the identity local unitary, and the local unitary that sends a known
+product state to |0...0>.
 
 The library only maximizes the objective; these build a known U and
 evaluate it, so tests can check the search and the variance against them.
@@ -15,6 +16,11 @@ def objective(psi: PureState, unitary: LocalUnitary) -> float:
     objective; equals the constrained form once the overlaps are phase-fixed."""
     rotated = unitary.apply(psi.amplitudes)
     return abs(complex(rotated[0])) ** 2 + abs(complex(rotated[-1])) ** 2
+
+
+def identity_unitary(n: int) -> LocalUnitary:
+    """The local unitary whose n factors are all the 2x2 identity."""
+    return LocalUnitary(factors=tuple(np.eye(2, dtype=complex) for _ in range(n)))
 
 
 def localize_product(factors) -> LocalUnitary:

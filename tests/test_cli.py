@@ -109,6 +109,26 @@ def test_decide_rejects_non_float_amplitudes(tmp_path, capsys, first, zero, word
     assert word in err
 
 
+# Nesting past the recursion limit raises RecursionError: 100000 levels in
+# json.load, 900 levels in the boolean check after it.
+DEEP = "[" * 100000 + "]" * 100000
+NESTED = "[" * 900 + "0" + "]" * 900
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 2, "amplitudes": ' + DEEP + "}",
+    '{"n": 2, "amplitudes": [[' + NESTED + ", 0], [0, 0], [0, 0], [1, 0]]}",
+], ids=["deep", "nested-amplitude"])
+def test_decide_rejects_deeply_nested_json(tmp_path, capsys, text):
+    # An escaped exception exits 1, which reads as the verdict "product".
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, ["decide", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_load_state_file_rejects_non_integer_n(tmp_path):
     path = tmp_path / "bad_n.json"
     path.write_text(json.dumps({"n": 2.9, "amplitudes": [[0.5, 0.0]] * 4}))
@@ -271,6 +291,19 @@ def test_mk_op_rejects_non_float_direction(tmp_path, capsys, first, word):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert word in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 2, "pairs": ' + DEEP + "}",
+    '{"n": 2, "pairs": [' + NESTED + ', {"a": [0, 0, 1], "a_prime": [1, 0, 0]}]}',
+], ids=["deep", "nested-pair"])
+def test_mk_op_rejects_deeply_nested_json(tmp_path, capsys, text):
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, ["mk-op", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_mk_op_above_dense_cap_reports_power_iteration_norm(capsys):

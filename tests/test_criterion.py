@@ -9,6 +9,7 @@ two-qubit singlet.
 import functools
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -23,16 +24,18 @@ from mkvariance import (
     generalized_ghz,
     ghz,
     is_product_oracle,
+    max_mk_mean,
     maximize_objective,
     phase_fix,
     random_product_state,
     random_state,
     variance,
 )
+from mkvariance import criterion
 from mkvariance.criterion import STEP_TOLERANCE, VALUE_TOLERANCE, _ascend_batch, _objective, _rows, _sweep
 from mkvariance.oracle import random_product_factors
 
-from overlap_reference import localize_product, objective
+from overlap_reference import identity_unitary, localize_product, objective
 
 
 def haar_factor(rng):
@@ -108,7 +111,7 @@ def test_variance_arity_mismatch():
 
 def test_conjugated_variance_identity_on_zero_state():
     for n in (2, 3, 4):
-        value = conjugated_variance(PureState.basis(n, 0), LocalUnitary.identity(n))
+        value = conjugated_variance(PureState.basis(n, 0), identity_unitary(n))
         assert value == pytest.approx(2 ** (n - 1), abs=1e-10)
 
 
@@ -140,18 +143,18 @@ def test_conjugated_variance_matches_dense_conjugation():
 
 
 def test_objective_zero_state_identity():
-    assert objective(PureState.basis(3, 0), LocalUnitary.identity(3)) == pytest.approx(1.0, abs=1e-14)
+    assert objective(PureState.basis(3, 0), identity_unitary(3)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_objective_generalized_ghz_identity():
     psi = generalized_ghz(4, 0.3)
-    assert objective(psi, LocalUnitary.identity(4)) == pytest.approx(1.0, abs=1e-14)
+    assert objective(psi, identity_unitary(4)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_objective_uniform_superposition():
     for n in (2, 3, 5):
         psi = PureState(np.full(2**n, 2 ** (-n / 2), dtype=complex))
-        value = objective(psi, LocalUnitary.identity(n))
+        value = objective(psi, identity_unitary(n))
         assert value == pytest.approx(2 ** (1 - n), abs=1e-14)
 
 
@@ -167,7 +170,7 @@ def test_objective_bounded_by_one():
 
 def test_phase_fix_leaves_nonnegative_overlaps_alone():
     psi = generalized_ghz(3, 0.4)
-    unitary = LocalUnitary.identity(3)
+    unitary = identity_unitary(3)
     assert phase_fix(psi, unitary) is unitary
 
 
@@ -178,7 +181,7 @@ def test_phase_fix_rotates_overlaps_nonnegative():
     amps[0] = -0.6
     amps[-1] = 0.8j
     psi = PureState(amps)
-    identity = LocalUnitary.identity(3)
+    identity = identity_unitary(3)
     fixed = phase_fix(psi, identity)
     rotated = fixed.apply(psi.amplitudes)
     assert rotated[0] == pytest.approx(0.6, abs=1e-14)
@@ -292,8 +295,8 @@ def test_ascent_iterations_are_monotone():
             history.append(values[0])
             if history[-1] - history[-2] < VALUE_TOLERANCE or largest_step[0] < STEP_TOLERANCE:
                 break
-        values = _objective(t, _rows(np.array([xis])))
-        sweeps, _ = _ascend_batch(lambda rows: _sweep(t, rows), (_rows(np.array([xis])),), values, cfg)
+        values, sweeps, _, _ = _ascend_batch(
+            lambda rows: _objective(t, rows), lambda rows: _sweep(t, rows), (_rows(np.array([xis])),), cfg, 1)
         value = values[0]
         assert sweeps[0] == len(history) - 1
         assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
@@ -546,6 +549,30 @@ def test_ceiling_exit_skips_later_chunks():
     result = maximize_objective(random_product_state(12, 22))
     assert result.metadata.starts == 96
     assert result.metadata.total_sweeps <= 128
+
+
+def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
+    # Chunks of 2**6 amplitudes hold 4 starts of the ascent and 1 of the
+    # see-saw at n = 4, so the tie-rule best is carried across chunk
+    # boundaries, and on product states the ceiling exit skips later chunks.
+    # The see-saw caps every start of these Haar states at 10 sweeps; at the
+    # default 300, every start of seed 4 stops on a tolerance.
+    def run():
+        records = []
+        for seed in range(6):
+            cfg = OptimizerConfig(seed=seed)
+            haar = maximize_objective(random_state(4, seed), cfg)
+            product = maximize_objective(random_product_state(4, seed), cfg)
+            records.append((haar.value, astuple(haar.metadata),
+                            product.value, product.metadata.best_start, product.metadata.iterations))
+        for seed, cap in [*((seed, 10) for seed in range(6)), (4, 300)]:
+            mean = max_mk_mean(random_state(4, seed), OptimizerConfig(seed=seed, max_iterations=cap))
+            records.append((mean.value, mean.best_start, mean.iterations, mean.total_sweeps, mean.capped_starts))
+        return records
+
+    default = run()
+    monkeypatch.setattr(criterion, "_CHUNK_AMPLITUDES", 2**6)
+    assert run() == default
 
 
 def test_run_record_counts_capped_starts():

@@ -144,8 +144,9 @@ def test_batched_see_saw_matches_reference(kind, n, param, seed, iters):
     starts = list(_reference_starts(n, cfg))
     a = np.array([s[0] for s in starts])
     ap = np.array([s[1] for s in starts])
-    values = _means(psi.amplitudes, a, ap)
-    sweeps, capped = _ascend_batch(lambda *p: _sweep(psi.amplitudes, *p), (a, ap), values, cfg)
+    values, sweeps, unfinished, _ = _ascend_batch(
+        lambda *p: _means(psi.amplitudes, *p), lambda *p: _sweep(psi.amplitudes, *p), (a, ap), cfg, len(a))
+    capped = int(unfinished.sum())
     exempt = SADDLE_STARTS.get(kind, set())
     for start, (_, _, ref_value, ref_sweeps, _) in enumerate(runs):
         if start not in exempt:
