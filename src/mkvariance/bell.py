@@ -18,7 +18,9 @@ Re <psi|M|psi> costs n single-qubit gates; mk_mean and the see-saw of
 max_mk_mean use it.  B = (M + M^dag)/2 is applied to a state vector
 matrix-free with 2n single-qubit gates (n for M, n for M^dag), so O(n 2^n);
 explicit matrices are only formed on demand for n <= DENSE_QUBIT_CAP.  The
-literal recursion lives in the tests as an independent reference.
+literal recursion lives in the tests as an independent reference.  Vectors
+are columns: S vectors form a (2**n, S) array and S gates a (2, 2, S) one,
+so each step of the see-saw loops over its S starts inside one numpy call.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ from .linalg import (
 )
 
 _PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
+# (v.sigma) flattened is _SIGMA @ v, and Tr(sigma_k R) is (_TRACE @ R.flat)[k].
+# Their entries are 0, +-1 and +-i, so every product is exact and each entry
+# sums at most two nonzero terms: no kernel's summation order changes a bit.
+_SIGMA = _PAULIS.reshape(3, 4).T.copy()
+_TRACE = _PAULIS.transpose(0, 2, 1).reshape(3, 4).copy()
 
 
 @dataclass(frozen=True)
@@ -96,24 +103,26 @@ def _prefactor(n: int) -> complex:
     return ((1 - 1j) / 2) ** (n - 1)
 
 
-def _factors(a: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
-    """The factors O_j = (a_j + i a'_j).sigma for directions of shape (..., 3)."""
-    return np.einsum("...k,kab->...ab", a + 1j * a_prime, _PAULIS)
+def _factors(z: np.ndarray) -> np.ndarray:
+    """The factors O_j = z_j.sigma as (..., 2, 2, S), for z_j = a_j + i a'_j as (..., 3, S)."""
+    return (_SIGMA @ z).reshape(z.shape[:-2] + (2, 2, z.shape[-1]))
 
 
-def _apply_factor(vecs: np.ndarray, factors: np.ndarray, j: int) -> np.ndarray:
-    """factors[s] applied to qubit j + 1 of vecs[s], for vecs of shape (S, 2**n)."""
-    x = vecs.reshape(len(vecs), 2**j, 1, 2, -1)
-    f = factors[:, None, :, :, None]
-    return (f[..., 0, :] * x[:, :, :, 0] + f[..., 1, :] * x[:, :, :, 1]).reshape(len(vecs), -1)
+def _apply_factor(vecs: np.ndarray, gates: np.ndarray, j: int) -> np.ndarray:
+    """gates[..., s] applied to qubit j + 1 of column s of vecs (..., 2**n, S).  Leading axes
+    broadcast and carry operators whose gates differ, as M and M^dag in ``MKOperator.apply``."""
+    x = vecs.reshape(vecs.shape[:-2] + (2**j, 1, 2, -1, vecs.shape[-1]))
+    image = (gates[..., None, :, 0, None, :] * x[..., 0, :, :]
+             + gates[..., None, :, 1, None, :] * x[..., 1, :, :])
+    return image.reshape(vecs.shape)
 
 
 class MKOperator:
     """Matrix-free handle for B = (M + M^dag)/2 with M = c (x)_j O_j.
 
     Hermitian by construction.  ``apply`` runs the n gates O_j and the n
-    gates O_j^dag on the vector; ``dense`` materializes the matrix for
-    n <= DENSE_QUBIT_CAP.
+    gates O_j^dag on a (2, 2**n, 1) stack of the vector, one call per qubit;
+    ``dense`` materializes the matrix for n <= DENSE_QUBIT_CAP.
     """
 
     __slots__ = ("n", "settings", "_gates", "_dense_cache")
@@ -122,23 +131,23 @@ class MKOperator:
         self.n = settings.n
         self.settings = settings
         # The factors of M and of M^dag: O_j^dag = (a_j - i a'_j).sigma.
-        a, a_prime = settings.a, settings.a_prime
-        self._gates = _factors(np.stack([a, a]), np.stack([a_prime, -a_prime]))
+        z = (settings.a + 1j * settings.a_prime)[..., None]
+        self._gates = _factors(np.stack([z, z.conj()]))
         self._dense_cache: np.ndarray | None = None
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        images = np.broadcast_to(np.asarray(vec, dtype=complex), (2, 2**self.n))
+        images = np.broadcast_to(np.asarray(vec, dtype=complex)[:, None], (2, 2**self.n, 1))
         for j in range(self.n):
             images = _apply_factor(images, self._gates[:, j], j)
         c = _prefactor(self.n)
-        return (c * images[0] + c.conjugate() * images[1]) / 2
+        return (c * images[0, :, 0] + c.conjugate() * images[1, :, 0]) / 2
 
     def dense(self) -> np.ndarray:
         if self._dense_cache is None:
             if self.n > DENSE_QUBIT_CAP:
                 raise ValueError(f"dense MK matrices are capped at {DENSE_QUBIT_CAP} qubits")
             m = np.eye(1, dtype=complex)
-            for factor in self._gates[0]:
+            for factor in self._gates[0, ..., 0]:
                 m = np.kron(m, factor)
             m = _prefactor(self.n) * m
             mat = (m + m.conj().T) / 2
@@ -228,7 +237,7 @@ def ghz(n: int, sign: int = +1) -> PureState:
         raise ValueError("GHZ states require n >= 2")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    amps = np.zeros(2**n, dtype=complex)
+    amps = np.zeros(2 ** qubit_count(n), dtype=complex)
     amps[0] = 1.0 / math.sqrt(2)
     amps[-1] = sign / math.sqrt(2)
     return PureState(amps)
@@ -240,7 +249,7 @@ def generalized_ghz(n: int, phi: float) -> PureState:
         raise ValueError("generalized GHZ states require n >= 2")
     if not 0.0 <= phi <= math.pi / 4 + 1e-15:
         raise ValueError(f"phi={phi} outside [0, pi/4]")
-    amps = np.zeros(2**n, dtype=complex)
+    amps = np.zeros(2 ** qubit_count(n), dtype=complex)
     amps[0] = math.cos(phi)
     amps[-1] = math.sin(phi)
     return PureState(amps)
@@ -255,25 +264,25 @@ def canonical_mk(n: int) -> MKOperatorPair:
     return mk_pair(canonical_settings(n))
 
 
-def _means(t: np.ndarray, a: np.ndarray, a_prime: np.ndarray) -> np.ndarray:
-    """Re c <psi|(x)_j O_j|psi> = <psi|B|psi> for directions of shape (S, n, 3)."""
-    s, n, _ = a.shape
-    image = np.broadcast_to(t, (s, t.size))
-    for j, factors in enumerate(np.moveaxis(_factors(a, a_prime), 1, 0)):
-        image = _apply_factor(image, factors, j)
-    return (_prefactor(n) * (image @ t.conj())).real
+def _means(t: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Re c <psi|(x)_j O_j|psi> = <psi|B|psi> per start, for z[s, j] = a_j + i a'_j of shape
+    (S, n, 3).  The overlap sums rows of 2S floats, as ``_environment``: in one order for any S."""
+    image = np.broadcast_to(t[:, None], (t.size, len(z)))
+    for j, gates in enumerate(_factors(z.transpose(1, 2, 0).copy())):
+        image = _apply_factor(image, gates, j)
+    return (_prefactor(z.shape[1]) * (t.conj()[:, None] * image).view(float).sum(0).view(complex)).real
 
 
 def mk_mean(psi: PureState, settings: MeasurementSettings) -> float:
     """<psi|B|psi> for the MK operator built from the settings."""
     if settings.n != psi.n:
         raise ValueError(f"settings are for {settings.n} qubits but the state has {psi.n}")
-    return float(_means(psi.amplitudes, settings.a[None], settings.a_prime[None])[0])
+    return float(_means(psi.amplitudes, (settings.a + 1j * settings.a_prime)[None])[0])
 
 
 @dataclass(frozen=True)
 class MKMeanResult:
-    """Outcome of the numeric MK mean maximization over all settings."""
+    """Outcome of the numeric MK mean maximization; see ``max_mk_mean``."""
 
     settings: MeasurementSettings
     value: float
@@ -282,39 +291,57 @@ class MKMeanResult:
     best_start: int
     total_sweeps: int
     capped_starts: int
+    converged: bool
 
 
-def _sweep(t: np.ndarray, a: np.ndarray, a_prime: np.ndarray) -> tuple[np.ndarray, ...]:
+def _environment(ket: np.ndarray, bra_conj: np.ndarray, j: int) -> np.ndarray:
+    """R_j[(a, b), s] = sum of ket[.., a, .., s] bra_conj[.., b, .., s] over all
+    qubits but j + 1, as (4, S).  The products, C-ordered as (2**j, rest, 2, 2, S),
+    are summed over one leading axis of 4S inner elements: in one order for any S."""
+    starts = ket.shape[-1]
+    shape = (2**j, 2, -1, starts)
+    k = ket.reshape(shape).transpose(0, 2, 1, 3)[:, :, :, None]
+    b = bra_conj.reshape(shape).transpose(0, 2, 1, 3)[:, :, None]
+    product = np.multiply(k, b, out=np.empty(k.shape[:3] + (2, starts), dtype=complex))
+    return product.reshape(-1, 4 * starts).sum(axis=0).reshape(4, starts)
+
+
+def _sweep(t: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
     """One pass of exact block updates over qubits 1..n for every start.
 
-    The kets ((x)_{k>j} O_k) psi of the old factors are built once; the bra
-    ((x)_{k<j} O_k)^dag psi of the updated ones is carried from qubit to
-    qubit.  Contracted over every qubit but j they leave a 2x2 matrix R_j,
-    and with w = c Tr(sigma R_j) the mean is a_j . Re w - a'_j . Im w, so
-    a_j follows Re w and a'_j follows -Im w.  Costs O(S n 2**n); returns the
-    new directions, the means after the last update and the largest steps.
+    The directions z of ``_means`` are held as (n, 3, S), and the kets and
+    the bra as (2**n, S) columns.  The kets ((x)_{k>j} O_k) psi of the old
+    factors are built once; the bra ((x)_{k<j} O_k)^dag psi of the updated
+    ones is carried as its conjugate, which the factors O_k^T advance.
+    Contracted over every qubit but j they leave a 2x2 matrix R_j, and with
+    w = c Tr(sigma R_j) the mean is a_j . Re w - a'_j . Im w, so z_j follows
+    conj(w), each part normalized.  No sum's order depends on S, so a start
+    sweeps the same in any batch.  Costs O(S n 2**n); returns the new
+    directions, the means after the last update and the largest steps.
     """
-    s, n, _ = a.shape
-    a, a_prime = a.copy(), a_prime.copy()
-    factors = _factors(a, a_prime)
-    kets = [np.broadcast_to(t, (s, t.size))]
+    starts, n = z.shape[:2]
+    d = z.transpose(1, 2, 0).copy()
+    factors = _factors(d)
+    kets = [np.broadcast_to(t[:, None], (t.size, starts))]
     for j in range(n - 1, 0, -1):
-        kets.insert(0, _apply_factor(kets[0], factors[:, j], j))
-    bra = kets[-1]
-    largest_step = np.zeros(s)
+        kets.insert(0, _apply_factor(kets[0], factors[j], j))
+    bra_conj = np.broadcast_to(t.conj()[:, None], (t.size, starts))
+    # As floats, start s has a_j in column 2s and a'_j in 2s + 1.  Steps are squared.
+    largest_step = np.zeros(2 * starts)
     for j in range(n):
-        shape = (s, 2**j, 2, -1)
-        r = np.einsum("slar,slbr->sab", kets[j].reshape(shape), bra.reshape(shape).conj())
-        w = _prefactor(n) * np.einsum("kba,sab->sk", _PAULIS, r)
-        for dirs, coefficients in ((a, w.real), (a_prime, -w.imag)):
-            norm = np.linalg.norm(coefficients, axis=-1, keepdims=True)
-            new = np.where(norm > 1e-14, coefficients / np.maximum(norm, 1e-300), dirs[:, j])
-            largest_step = np.maximum(largest_step, np.linalg.norm(new - dirs[:, j], axis=-1))
-            dirs[:, j] = new
+        coefficients = (_prefactor(n) * (_TRACE @ _environment(kets[j], bra_conj, j))).conj().view(float)
+        old = d[j].view(float)
+        square = coefficients * coefficients
+        norm = np.sqrt(square[0] + square[1] + square[2])
+        new = np.where(norm > 1e-14, coefficients / np.maximum(norm, 1e-300), old)
+        square = (new - old) ** 2
+        largest_step = np.maximum(largest_step, square[0] + square[1] + square[2])
+        old[:] = new
         if j + 1 < n:
-            bra = _apply_factor(bra, _factors(a[:, j], -a_prime[:, j]), j)
-    value = np.sum(a[:, -1] * w.real - a_prime[:, -1] * w.imag, axis=-1)
-    return a, a_prime, value, largest_step
+            bra_conj = _apply_factor(bra_conj, _factors(d[j]).swapaxes(0, 1), j)
+    terms = (old * coefficients).reshape(3, starts, 2).sum(axis=-1)
+    largest_step = np.sqrt(largest_step.reshape(starts, 2).max(axis=1))
+    return d.transpose(2, 0, 1), terms[0] + terms[1] + terms[2], largest_step
 
 
 def max_mk_mean(psi: PureState, config=None) -> MKMeanResult:
@@ -323,11 +350,13 @@ def max_mk_mean(psi: PureState, config=None) -> MKMeanResult:
     Multi-start block-coordinate ascent (a see-saw): the mean is linear in
     each qubit's pair (a_j, a'_j) with the others held fixed, so every block
     update is exact (see ``_sweep``).  Start 0 is the canonical fan, start 1
-    the all-z axial configuration, the rest are seeded random directions.
+    the all-z axial configuration, the rest are seeded random directions;
+    each is one (n, 3) row z_j = a_j + i a'_j of the search's parameter.
     The starts run on ``criterion._ascend_batch`` with no ceiling, in chunks
     of 2**18 // (n 2**n), which bounds the cached kets.  ``total_sweeps``
     adds up the sweeps of all starts; ``capped_starts`` counts those that
-    used all ``max_iterations`` sweeps without meeting either tolerance.
+    used all ``max_iterations`` sweeps without meeting either tolerance;
+    ``converged`` says that the best start met a tolerance before the cap.
     """
     # Deferred: criterion imports this module.
     from .criterion import _CHUNK_AMPLITUDES, OptimizerConfig, _ascend_batch
@@ -337,19 +366,20 @@ def max_mk_mean(psi: PureState, config=None) -> MKMeanResult:
     if n < 2:
         raise ValueError("mean maximization requires n >= 2")
     starts = cfg.resolved_starts(n)
-    canon = canonical_settings(n)
+    canon = canonical_mk(n).settings
     axial = np.broadcast_to(np.eye(3)[[2, 0], None], (2, n, 3))  # a_j = z, a'_j = x
     drawn = np.random.default_rng(cfg.seed).standard_normal((max(starts - 2, 0), 2, n, 3))
     # The norm np.linalg.norm takes of a single vector, so that the draws
     # match those of one vector at a time bit for bit.
     drawn /= np.sqrt(drawn[..., None, :] @ drawn[..., :, None])[..., 0]
     dirs = np.concatenate([[[canon.a, canon.a_prime], axial], drawn])[:starts]
-    a, a_prime = dirs[:, 0].copy(), dirs[:, 1].copy()
+    z = dirs[:, 0] + 1j * dirs[:, 1]
 
     values, sweeps, unfinished, best = _ascend_batch(
-        lambda *p: _means(psi.amplitudes, *p), lambda *p: _sweep(psi.amplitudes, *p), (a, a_prime), cfg,
+        lambda d: _means(psi.amplitudes, d), lambda d: _sweep(psi.amplitudes, d), (z,), cfg,
         max(1, _CHUNK_AMPLITUDES // (n << n)))
     return MKMeanResult(
-        settings=MeasurementSettings(n=n, a=a[best], a_prime=a_prime[best]),
+        settings=MeasurementSettings(n=n, a=z[best].real, a_prime=z[best].imag),
         value=float(values[best]), starts=starts, iterations=int(sweeps[best]),
-        best_start=best, total_sweeps=int(sweeps.sum()), capped_starts=int(unfinished.sum()))
+        best_start=best, total_sweeps=int(sweeps.sum()), capped_starts=int(unfinished.sum()),
+        converged=not unfinished[best])

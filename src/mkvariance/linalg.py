@@ -87,7 +87,7 @@ class PureState:
     @classmethod
     def basis(cls, n: int, index: int) -> "PureState":
         """Computational basis state |index> with qubit 1 as the most significant bit."""
-        if not 0 <= index < 2**n:
+        if not 0 <= index < 2 ** qubit_count(n):
             raise ValueError(f"basis index {index} out of range for n={n}")
         amps = np.zeros(2**n, dtype=complex)
         amps[index] = 1.0

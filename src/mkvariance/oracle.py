@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PureState, reduced_density
+from .linalg import PureState, qubit_count, reduced_density
 
 ORACLE_EPSILON = 1e-9
 
@@ -64,14 +64,14 @@ def random_product_factors(n: int, seed: int) -> list[np.ndarray]:
 def random_product_state(n: int, seed: int) -> PureState:
     """Tensor product of n independent uniform single-qubit states."""
     amps = np.array([1.0 + 0.0j])
-    for f in random_product_factors(n, seed):
+    for f in random_product_factors(qubit_count(n), seed):
         amps = np.kron(amps, f)
     return PureState(amps)
 
 
 def random_state(n: int, seed: int) -> PureState:
     """Haar-random pure state: normalized vector of 2^n complex Gaussians."""
-    if n < 2:
+    if qubit_count(n) < 2:
         raise ValueError("n must be >= 2")
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)

@@ -352,6 +352,18 @@ def test_max_mk_mean_ghz_has_no_capped_starts():
     assert result.value == pytest.approx(2.0, abs=1e-12)
 
 
+def test_max_mk_mean_converged_follows_the_best_start():
+    # Seed 2: all 32 starts stop at the cap, the best (start 28) among them.
+    capped = max_mk_mean(random_state(4, 2), OptimizerConfig(seed=2))
+    assert (capped.capped_starts, capped.best_start, capped.iterations) == (32, 28, 300)
+    assert capped.converged is False
+    # Seed 0: 31 starts are capped, but the best (start 12) stops after 268 sweeps.
+    stopped = max_mk_mean(random_state(4, 0), OptimizerConfig(seed=0))
+    assert (stopped.capped_starts, stopped.best_start, stopped.iterations) == (31, 12, 268)
+    assert stopped.converged is True
+    assert max_mk_mean(generalized_ghz(3, 0.3)).converged is True
+
+
 def test_max_mk_mean_memory_is_chunked():
     # Each chunk caches n kets of 2**n amplitudes per start.  All 96
     # default starts at n=12 in one batch would hold 96 * 12 * 2**12

@@ -14,6 +14,8 @@ from mkvariance import (
     canonical_mk,
     ghz,
     generalized_ghz,
+    random_product_state,
+    random_state,
     reduced_density,
 )
 
@@ -153,3 +155,16 @@ def test_reduced_density_trace_one_and_hermitian():
 def test_reduced_density_index_out_of_range():
     with pytest.raises(ValueError, match="range"):
         reduced_density(ghz(2), 3)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: ghz(64), id="ghz"),
+    pytest.param(lambda: generalized_ghz(64, 0.3), id="generalized_ghz"),
+    pytest.param(lambda: PureState.basis(64, 0), id="basis"),
+    pytest.param(lambda: random_state(64, 0), id="random_state"),
+    pytest.param(lambda: random_product_state(17, 0), id="random_product_state"),
+])
+def test_oversized_qubit_counts_are_rejected_before_allocation(build):
+    # 2**64 amplitudes cannot be allocated, so the count must be checked first.
+    with pytest.raises(ValueError, match="outside the supported range"):
+        build()

@@ -142,10 +142,9 @@ def test_batched_see_saw_matches_reference(kind, n, param, seed, iters):
 
     # Every start, through the batch that max_mk_mean runs.
     starts = list(_reference_starts(n, cfg))
-    a = np.array([s[0] for s in starts])
-    ap = np.array([s[1] for s in starts])
+    z = np.array([np.array(a) + 1j * np.array(ap) for a, ap in starts])
     values, sweeps, unfinished, _ = _ascend_batch(
-        lambda *p: _means(psi.amplitudes, *p), lambda *p: _sweep(psi.amplitudes, *p), (a, ap), cfg, len(a))
+        lambda d: _means(psi.amplitudes, d), lambda d: _sweep(psi.amplitudes, d), (z,), cfg, len(z))
     capped = int(unfinished.sum())
     exempt = SADDLE_STARTS.get(kind, set())
     for start, (_, _, ref_value, ref_sweeps, _) in enumerate(runs):
@@ -170,6 +169,6 @@ def test_product_form_matches_dense_recursion(n):
         settings = MeasurementSettings(n=n, a=vecs[0], a_prime=vecs[1])
         b, b_prime = dense_pair(settings)
         product = np.eye(1)
-        for factor in _factors(settings.a, settings.a_prime):
+        for factor in _factors((settings.a + 1j * settings.a_prime)[..., None])[..., 0]:
             product = np.kron(product, factor)
         assert np.max(np.abs(b + 1j * b_prime - ((1 - 1j) / 2) ** (n - 1) * product)) <= 1e-12
