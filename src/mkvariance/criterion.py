@@ -226,14 +226,14 @@ def _objective(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(left[:, :, 0]) ** 2, axis=1)
 
 
-def _block_update(m: np.ndarray, old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _block_update(m: np.ndarray, old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, ...]:
     """Exact maximization over one qubit's two angles, all other qubits fixed.
 
     Contracting every other qubit leaves two 2-vectors per start, m0 = m[:, 0]
     and m1 = m[:, 1], with a = row0 . m0 and b = row1 . m1; the objective
     reduces to (P+Q)/2 + (P-Q)/2 cos(theta) + |G| sin(theta) at the optimal
     chi.  Writes the best factor into ``new`` (``old`` where the objective is
-    flat); returns the values and the step sizes, taken on row 0 = conj(xi).
+    flat); returns P, Q and the radius, so the value is (P+Q)/2 + radius.
     """
     squares = np.abs(m) ** 2
     p = squares[:, 0, 0] + squares[:, 1, 1]
@@ -241,15 +241,14 @@ def _block_update(m: np.ndarray, old: np.ndarray, new: np.ndarray) -> tuple[np.n
     g = m[:, 0, 1] * np.conj(m[:, 0, 0]) - np.conj(m[:, 1, 0]) * m[:, 1, 1]
     x, y = (p - q) / 2.0, np.abs(g)
     radius, half = np.hypot(x, y), np.arctan2(y, x) / 2
-    new[:, 1, 1], new[:, 1, 0] = np.cos(half), np.exp(1j * np.angle(g)) * np.sin(half)
+    new[:, 1, 1], new[:, 1, 0] = np.cos(half), np.exp(1j * np.arctan2(g.imag, g.real)) * np.sin(half)
     np.conjugate(new[:, 1, ::-1], out=new[:, 0])
     np.negative(new[:, 1, 0], out=new[:, 1, 0])
-    flat = radius < 1e-300
-    if flat.any():
+    if radius.min() < 1e-300:
+        flat = radius < 1e-300
         new[flat] = old[flat]
         radius[flat] = 0.0
-    step = new[:, 0] - old[:, 0]
-    return (p + q) / 2.0 + radius, np.sqrt(np.add.reduce((step.conj() * step).real, axis=-1))
+    return p, q, radius
 
 
 def _sweep(t: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -258,23 +257,25 @@ def _sweep(t: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     The Kronecker products of the old rows of qubits k > j are built once;
     the rows of qubits k < j enter through the running left-contracted
     tensor, so the pass costs O(S 2**n).  Returns the new rows, each start's
-    objective after its last update, and each start's largest step.
+    objective after its last update, and each start's largest step, taken
+    on row 0 = conj(xi).
     """
     s, n = rows.shape[:2]
-    suffix = [np.ones((s, 2, 1), dtype=complex)]
-    for j in range(n - 1, 0, -1):
+    suffix = [rows[:, n - 1]]
+    for j in range(n - 2, 0, -1):
         suffix.append((rows[:, j, :, :, None] * suffix[-1][:, :, None, :]).reshape(s, 2, -1))
     suffix.reverse()
     out = np.empty_like(rows)
-    largest_step = np.zeros(s)
     left = t.reshape(1, 1, -1)
     for j in range(n):
         block = left.reshape(left.shape[0], left.shape[1], 2, -1)
-        m = (block @ suffix[j][..., None])[..., 0]
-        value, step = _block_update(m, rows[:, j], out[:, j])
-        largest_step = np.maximum(largest_step, step)
-        left = (out[:, j, :, None, :] @ block)[:, :, 0, :]
-    return out, value, largest_step
+        m = (block @ suffix[j][..., None])[..., 0] if j < n - 1 else block[..., 0]
+        p, q, radius = _block_update(m, rows[:, j], out[:, j])
+        if j < n - 1:
+            left = (out[:, j, :, None, :] @ block)[:, :, 0, :]
+    step = out[:, :, 0] - rows[:, :, 0]
+    largest_step = np.sqrt(np.add.reduce((step.conj() * step).real, axis=-1).max(axis=1))
+    return out, (p + q) / 2.0 + radius, largest_step
 
 
 def _ascend_batch(
@@ -304,24 +305,32 @@ def _ascend_batch(
         part = tuple(p[lo:lo + chunk] for p in params)
         vals, counts = values[lo:lo + chunk], sweeps[lo:lo + chunk]
         vals[:] = evaluate(*part)
-        active = np.arange(len(vals))
+        # The starts still ascending, compacted: their chunk indices, rows and
+        # values.  A start's results are written back once, when it stops.
+        index, work, current = np.arange(len(vals)), part, vals.copy()
         for sweep_count in range(1, cfg.max_iterations + 1):
-            # A plain slice while every start ascends spares the gather and scatter.
-            index = active if active.size < len(vals) else slice(None)
-            *new, value, largest_step = sweep(*(p[index] for p in part))
-            done = (value - vals[index] < VALUE_TOLERANCE) | (largest_step < STEP_TOLERANCE)
-            for p, rows in zip(part, new):
-                p[index] = rows
-            vals[index] = value
-            counts[index] += 1
-            active = active[~done]
-            # The starts before the first one still ascending have stopped, and
-            # after the last sweep all have; the best is final only once one has.
-            stopped = lo + (active[0] if active.size and sweep_count < cfg.max_iterations else len(vals))
-            best, settled = _best_start(values[:stopped], best, settled), stopped
-            if active.size == 0 or (settled and values[best] > ceiling):
-                break
-        unfinished[lo + active] = True
+            *work, value, largest_step = sweep(*work)
+            done = (value - current < VALUE_TOLERANCE) | (largest_step < STEP_TOLERANCE)
+            current = value
+            if sweep_count == cfg.max_iterations:
+                unfinished[lo + index[~done]] = True
+                done[:] = True
+            if done.any():
+                for p, rows in zip(part, work):
+                    p[index[done]] = rows[done]
+                vals[index[done]], counts[index[done]] = current[done], sweep_count
+                index, current, work = index[~done], current[~done], [rows[~done] for rows in work]
+                # The starts before the first one still ascending have stopped;
+                # the best is final only once one has.
+                stopped = lo + (index[0] if index.size else len(vals))
+                best, settled = _best_start(values[:stopped], best, settled), stopped
+                if index.size == 0 or (settled and values[best] > ceiling):
+                    break
+        # Starts still ascending here were abandoned at the ceiling.
+        for p, rows in zip(part, work):
+            p[index] = rows
+        vals[index], counts[index] = current, sweep_count
+        unfinished[lo + index] = True
         if values[best] > ceiling:
             break
     return values, sweeps, unfinished, best
@@ -360,10 +369,10 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
         raise ValueError("objective maximization requires n >= 2")
     starts = cfg.resolved_starts(n)
     rng = np.random.default_rng(cfg.seed)
-    angles = np.zeros((starts, 2, n))  # start 0 has all angles 0: the identity
-    for k in range(1, starts):
-        angles[k, 0] = rng.uniform(0.0, math.pi, size=n)
-        angles[k, 1] = rng.uniform(0.0, 2 * math.pi, size=n)
+    # Start 0 has all angles 0: the identity.  One draw equals per-start
+    # uniform(0, pi, n) and uniform(0, 2 pi, n) calls bit for bit.
+    drawn = rng.random((starts - 1, 2, n)) * np.array([[math.pi], [2 * math.pi]])
+    angles = np.concatenate([np.zeros((1, 2, n)), drawn])
     thetas, chis = angles[:, 0], angles[:, 1]
     rows = _rows(np.stack([np.cos(thetas / 2), np.exp(1j * chis) * np.sin(thetas / 2)], axis=-1))
     t = psi.tensor()
