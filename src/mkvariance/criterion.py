@@ -8,9 +8,10 @@ unitaries.  Each factor U_j enters only through the single-qubit state it
 maps to |0> (two real angles per qubit), and for fixed other factors the
 objective restricted to one qubit is A + B cos(theta) + C sin(theta) cos(chi
 - chi0), which is maximized in closed form.  Multi-start block-coordinate
-ascent over these exact updates is therefore monotone per iteration and
-deterministic given the seed.  Residual overlap phases are removed
-afterwards by a diagonal phase gate on qubit 1.
+ascent over these exact updates, with an extrapolation step after each sweep
+that is kept only where it raises the value, is therefore monotone and
+deterministic given the seed.  Residual overlap phases are removed afterwards
+by a diagonal phase gate on qubit 1.
 
 All starts ascend together as one batch, which holds each factor U_j as its
 rows and updates them in place.  A sweep builds the Kronecker products of the
@@ -218,10 +219,16 @@ def _rows(xis: np.ndarray) -> np.ndarray:
     return np.stack([xis.conj(), np.stack([-xis[..., 1], xis[..., 0]], axis=-1)], axis=-2)
 
 
+def _retract(rows: np.ndarray) -> np.ndarray:
+    """The rows of xi = conj(row 0), normalized per qubit: valid factors again."""
+    xis = rows[..., 0, :].conj()
+    return _rows(xis / np.sqrt(np.add.reduce((xis.conj() * xis).real, axis=-1))[..., None])
+
+
 def _objective(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """|<0..0|U psi>|^2 + |<1..1|U psi>|^2 for each start of the batch."""
     left = t.reshape(1, 1, -1)
-    for r in np.moveaxis(rows, 1, 0):
+    for r in rows.swapaxes(0, 1):
         left = (r[:, :, None, :] @ left.reshape(left.shape[0], left.shape[1], 2, -1))[:, :, 0, :]
     return np.sum(np.abs(left[:, :, 0]) ** 2, axis=1)
 
@@ -279,7 +286,8 @@ def _sweep(t: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _ascend_batch(
-    evaluate, sweep, params: tuple, cfg: OptimizerConfig, chunk: int, ceiling: float = math.inf
+    evaluate, sweep, params: tuple, cfg: OptimizerConfig, chunk: int, ceiling: float = math.inf,
+    retract=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The multi-start driver of both block ascents.
 
@@ -289,12 +297,19 @@ def _ascend_batch(
     start stops once a sweep raises its value by less than
     ``VALUE_TOLERANCE``, moves no parameter by ``STEP_TOLERANCE``, or is its
     ``max_iterations``-th; stopped starts leave the batch, and ``params``
-    are updated in place.  The best start is the lowest index among those
-    whose values agree to 1e-12, carried along as starts stop; once it
-    exceeds ``ceiling`` the starts still ascending are abandoned with the
-    sweeps they ran and later chunks never run.  Returns each start's value,
-    its sweep count and whether it met neither tolerance (capped or
-    abandoned), and the best start.
+    are updated in place.  With ``retract``, a start that goes on after its
+    second or later sweep tries x + lam (x - x_prev), for its params x_prev
+    and x before and after the sweep, mapped back to valid params by
+    ``retract``; it moves there only if that raises its value by
+    ``VALUE_TOLERANCE``, so no start's value falls.  lam starts at 1 and is
+    kept per start: times 1.5 after a kept step, halved down to 1 after a
+    rejected one (Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl. 30,
+    1128 (2008)).  Sweep counts leave out these evaluations.  The
+    best start is the lowest index among those whose values agree to 1e-12,
+    carried along as starts stop; once it exceeds ``ceiling`` the starts
+    still ascending are abandoned with the sweeps they ran and later chunks
+    never run.  Returns each start's value, its sweep count and whether it
+    met neither tolerance (capped or abandoned), and the best start.
     """
     starts = len(params[0])
     values = np.zeros(starts)
@@ -308,7 +323,9 @@ def _ascend_batch(
         # The starts still ascending, compacted: their chunk indices, rows and
         # values.  A start's results are written back once, when it stops.
         index, work, current = np.arange(len(vals)), part, vals.copy()
+        lam = np.ones(len(vals))
         for sweep_count in range(1, cfg.max_iterations + 1):
+            previous = work
             *work, value, largest_step = sweep(*work)
             done = (value - current < VALUE_TOLERANCE) | (largest_step < STEP_TOLERANCE)
             current = value
@@ -319,13 +336,23 @@ def _ascend_batch(
                 for p, rows in zip(part, work):
                     p[index[done]] = rows[done]
                 vals[index[done]], counts[index[done]] = current[done], sweep_count
-                index, current, work = index[~done], current[~done], [rows[~done] for rows in work]
+                index, current, lam = index[~done], current[~done], lam[~done]
+                work, previous = [rows[~done] for rows in work], [rows[~done] for rows in previous]
                 # The starts before the first one still ascending have stopped;
                 # the best is final only once one has.
                 stopped = lo + (index[0] if index.size else len(vals))
                 best, settled = _best_start(values[:stopped], best, settled), stopped
                 if index.size == 0 or (settled and values[best] > ceiling):
                     break
+            if retract is not None and sweep_count > 1:
+                scale = lam.reshape(-1, *[1] * (work[0].ndim - 1))
+                candidate = retract(*(x + scale * (x - x_prev) for x, x_prev in zip(work, previous)))
+                trial = evaluate(*candidate)
+                kept = trial - current >= VALUE_TOLERANCE
+                for rows, moved in zip(work, candidate):
+                    rows[kept] = moved[kept]
+                current = np.where(kept, trial, current)
+                lam = np.where(kept, 1.5 * lam, np.maximum(lam / 2, 1.0))
         # Starts still ascending here were abandoned at the ceiling.
         for p, rows in zip(part, work):
             p[index] = rows
@@ -355,13 +382,14 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
     identity's converged value.  Remaining starts use seeded uniform random
     angles (theta in [0, pi], chi in [0, 2 pi)).  The starts run on
     ``_ascend_batch`` in chunks of 2**18 // 2**n with the ceiling 1 - 5e-13,
-    since no objective exceeds 1 beyond roundoff.  ``total_sweeps`` adds up
-    the sweeps of all starts, abandoned ones included; ``capped_starts``
-    counts the starts that used all ``max_iterations`` sweeps without
-    meeting either tolerance.  ``starts_at_best`` counts the stopped starts
-    within 1e-9 of the best value, not those abandoned at the ceiling or in
-    chunks that never ran; ``converged`` says that the best start met a
-    tolerance before the cap.
+    since no objective exceeds 1 beyond roundoff, and with ``_retract`` for
+    the extrapolation step.  ``total_sweeps`` adds up the sweeps of all
+    starts, abandoned ones included, not the step's objective evaluations;
+    ``capped_starts`` counts the starts that used all ``max_iterations``
+    sweeps without meeting either tolerance.  ``starts_at_best`` counts the
+    stopped starts within 1e-9 of the best value, not those abandoned at the
+    ceiling or in chunks that never ran; ``converged`` says that the best
+    start met a tolerance before the cap.
     """
     cfg = config if config is not None else OptimizerConfig()
     n = psi.n
@@ -378,7 +406,8 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
     t = psi.tensor()
     chunk = max(1, _CHUNK_AMPLITUDES >> n)
     values, sweeps, unfinished, best = _ascend_batch(
-        lambda r: _objective(t, r), lambda r: _sweep(t, r), (rows,), cfg, chunk, _CEILING)
+        lambda r: _objective(t, r), lambda r: _sweep(t, r), (rows,), cfg, chunk, _CEILING,
+        lambda r: (_retract(r),))
     abandoned = unfinished & (sweeps < cfg.max_iterations)  # a capped start ran all its sweeps
 
     unitary = phase_fix(psi, LocalUnitary(factors=tuple(rows[best])))

@@ -2,13 +2,15 @@
 
 The reference below is the original implementation: one start at a time,
 each block update re-contracting the whole state tensor with
-``np.tensordot``.  ``maximize_objective`` must reproduce its best start and
-that start's sweep count exactly, and its values and phase-fixed end
-overlaps to 1e-12.  Where the ceiling exit cannot fire, the total sweep
-count and the number of capped starts must match the reference's too, so
-that a drift in any start's trajectory shows.  Factors are not compared: on
-product states the phase fix picks up the phase of a roundoff-level
-overlap, so factors may differ while U psi agrees.
+``np.tensordot``, and after every sweep from the second on that goes on, the
+extrapolation step xi + lam (xi - xi_prev) with its own lam.
+``maximize_objective`` must reproduce its best start and that start's sweep
+count exactly, and its values and phase-fixed end overlaps to 1e-12.  Where
+the ceiling exit cannot fire, the total sweep count and the number of capped
+starts must match the reference's too, so that a drift in any start's
+trajectory shows.  Factors are not compared: on product states the phase
+fix picks up the phase of a roundoff-level overlap, so factors may differ
+while U psi agrees.
 """
 
 import math
@@ -36,6 +38,10 @@ def _xi_from_angles(theta: float, chi: float) -> np.ndarray:
 
 def _factor_from_xi(xi: np.ndarray) -> np.ndarray:
     return np.array([[xi[0].conj(), xi[1].conj()], [-xi[1], xi[0]]])
+
+
+def _unit(xi: np.ndarray) -> np.ndarray:
+    return xi / np.linalg.norm(xi)
 
 
 def _rows(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,7 +90,9 @@ def _ascend(
     """(xis, value, value history, whether the start stopped only at the cap)."""
     value = _objective_from_xis(t, xis)
     history = [value]
-    for _ in range(cfg.max_iterations):
+    lam = 1.0
+    for sweep in range(1, cfg.max_iterations + 1):
+        previous = list(xis)
         largest_step = 0.0
         for j in range(len(xis)):
             xis[j], value, step = _block_update(t, xis, j)
@@ -92,6 +100,16 @@ def _ascend(
         history.append(value)
         if value - history[-2] < VALUE_TOLERANCE or largest_step < STEP_TOLERANCE:
             return xis, value, history, False
+        if 1 < sweep < cfg.max_iterations:
+            # The extrapolation step, kept only if it raises the value by
+            # VALUE_TOLERANCE; the next sweep's increment starts from there.
+            candidate = [_unit(xi + lam * (xi - old)) for xi, old in zip(xis, previous)]
+            trial = _objective_from_xis(t, candidate)
+            if trial - value >= VALUE_TOLERANCE:
+                xis, value, lam = candidate, trial, 1.5 * lam
+                history[-1] = value
+            else:
+                lam = max(lam / 2, 1.0)
     return xis, value, history, True
 
 

@@ -602,6 +602,16 @@ def test_run_record_flags_a_best_start_stopped_at_the_cap():
     assert meta.converged is False
 
 
+def test_default_search_converges_on_a_slowly_creeping_state():
+    # Without the extrapolation step every start of this state crept to the
+    # 300-sweep cap, and the value stopped 2.6e-9 below 0.5540914821, the
+    # value that 1000 sweeps reach.
+    result = maximize_objective(random_state(4, 32))
+    assert result.metadata.converged is True
+    assert result.metadata.capped_starts <= 8
+    assert result.value >= 0.5540914821 - 1e-12
+
+
 def test_run_record_on_a_product_state_is_converged():
     meta = maximize_objective(random_product_state(4, 25)).metadata
     assert meta.best_start == 0

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mkvariance import DECISION_TAU, MeasurementSettings, PureState, decide, mk_pair
+from mkvariance import DECISION_TAU, LocalUnitary, MeasurementSettings, OptimizerConfig, PureState, decide, mk_pair, random_state
 from mkvariance import bell, criterion
 from mkvariance.criterion import _objective, _rows, _sweep
 
@@ -79,19 +79,51 @@ def test_a_sweep_never_lowers_any_start(data, psi, starts):
 @given(data=st.data(), psi=states(5), starts=st.integers(1, 8))
 def test_a_start_sweeps_the_same_in_any_batch(data, psi, starts):
     # Both ascents run their starts in batches of any size, so a start's
-    # starting value and sweep must not depend on the starts beside it, bit
+    # starting value and sweep, and the overlap ascent's extrapolated
+    # candidate and its value, must not depend on the starts beside it, bit
     # for bit.
     a, a_prime = data.draw(unit_vectors(2 * starts * psi.n)).reshape(2, starts, psi.n, 3)
-    for evaluate, sweep, t, params in (
-        (bell._means, bell._sweep, psi.amplitudes, a + 1j * a_prime),
-        (criterion._objective, criterion._sweep, psi.tensor(), overlap_rows(data, psi.n, starts)),
+    lam = np.array(data.draw(st.lists(st.floats(1.0, 50.0), min_size=starts, max_size=starts)))
+    for evaluate, sweep, retract, t, params in (
+        (bell._means, bell._sweep, None, psi.amplitudes, a + 1j * a_prime),
+        (criterion._objective, criterion._sweep, criterion._retract, psi.tensor(), overlap_rows(data, psi.n, starts)),
     ):
-        batch = (evaluate(t, params), *sweep(t, params))
+        def run(params, lam):
+            results = (evaluate(t, params), *sweep(t, params))
+            if retract is not None:
+                new = results[1]
+                candidate = retract(new + lam.reshape(-1, 1, 1, 1) * (new - params))
+                results += (candidate, evaluate(t, candidate))
+            return results
+
+        batch = run(params, lam)
         for start in range(starts):
-            one = params[start:start + 1]
-            alone = (evaluate(t, one), *sweep(t, one))
+            alone = run(params[start:start + 1], lam[start:start + 1])
             for whole, single in zip(batch, alone):
                 np.testing.assert_array_equal(whole[start:start + 1], single)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(data=st.data(), psi=states(5), starts=st.integers(1, 4))
+def test_one_more_sweep_never_lowers_any_start(data, psi, starts):
+    # _ascend_batch keeps an extrapolation step only when it raises a
+    # start's value, so a start's value after a cap of k + 1 sweeps is at
+    # least its value after k, up to the roundoff a sweep may lose at a
+    # maximum (as in test_a_sweep_never_lowers_any_start).
+    t = psi.tensor()
+    rows = overlap_rows(data, psi.n, starts)
+
+    def values_at_cap(cap):
+        values, _, _, _ = criterion._ascend_batch(
+            lambda r: _objective(t, r), lambda r: _sweep(t, r), (rows.copy(),),
+            OptimizerConfig(max_iterations=cap), starts, criterion._CEILING, lambda r: (criterion._retract(r),))
+        return values
+
+    previous = values_at_cap(1)
+    for cap in range(2, 8):
+        values = values_at_cap(cap)
+        assert np.all(values >= previous - 1e-12)
+        previous = values
 
 
 @settings(PROPERTY, max_examples=60)
@@ -110,3 +142,22 @@ def test_verdict_ignores_global_phase_and_qubit_order(data, psi, phase):
         other_report = decide(other)
         assert other_report.verdict == report.verdict
         assert abs(other_report.objective_value - report.objective_value) < 1e-9
+
+
+@settings(PROPERTY, max_examples=6)
+@given(n=st.integers(6, 8), seed=st.integers(0, 2**16), data=st.data())
+def test_verdict_ignores_a_local_unitary_on_haar_states(n, seed, data):
+    # From n = 6 on the starts of a Haar state split over several basins, so
+    # a search that leaves the best basin, for example by an extrapolation
+    # step, shows here as a different maximum.
+    psi = random_state(n, seed)
+    angles = np.array(data.draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=3 * n, max_size=3 * n)))
+    a, b, c = angles.reshape(3, n)
+    factors = np.array([
+        [np.exp(-0.5j * (a + c)) * np.cos(b / 2), -np.exp(-0.5j * (a - c)) * np.sin(b / 2)],
+        [np.exp(0.5j * (a - c)) * np.sin(b / 2), np.exp(0.5j * (a + c)) * np.cos(b / 2)],
+    ]).transpose(2, 0, 1)
+    report = decide(psi)
+    other = decide(PureState(LocalUnitary(factors=tuple(factors)).apply(psi.amplitudes)))
+    assert other.verdict == report.verdict
+    assert abs(other.objective_value - report.objective_value) < 1e-9
