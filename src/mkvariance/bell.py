@@ -344,6 +344,13 @@ def _sweep(t: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
     return d.transpose(2, 0, 1), terms[0] + terms[1] + terms[2], largest_step
 
 
+def _retract(z: np.ndarray) -> np.ndarray:
+    """z with each a_j and a'_j scaled to unit length."""
+    parts = np.ascontiguousarray(z).view(float).reshape(z.shape + (2,))
+    parts = parts / np.sqrt(np.add.reduce(parts * parts, axis=-2, keepdims=True))
+    return parts.reshape(z.shape[:-1] + (6,)).view(complex)
+
+
 def max_mk_mean(psi: PureState, config=None) -> MKMeanResult:
     """Maximize <psi|B(settings)|psi> over all measurement settings.
 
@@ -352,11 +359,12 @@ def max_mk_mean(psi: PureState, config=None) -> MKMeanResult:
     update is exact (see ``_sweep``).  Start 0 is the canonical fan, start 1
     the all-z axial configuration, the rest are seeded random directions;
     each is one (n, 3) row z_j = a_j + i a'_j of the search's parameter.
-    The starts run on ``criterion._ascend_batch`` with no ceiling, in chunks
-    of 2**18 // (n 2**n), which bounds the cached kets.  ``total_sweeps``
-    adds up the sweeps of all starts; ``capped_starts`` counts those that
-    used all ``max_iterations`` sweeps without meeting either tolerance;
-    ``converged`` says that the best start met a tolerance before the cap.
+    The starts run on ``criterion._ascend_batch`` with no ceiling and with
+    ``_retract`` for the extrapolation step, in chunks of 2**18 // (n 2**n),
+    which bounds the cached kets.  ``total_sweeps`` adds up the sweeps of all
+    starts; ``capped_starts`` counts those that used all ``max_iterations``
+    sweeps without meeting either tolerance; ``converged`` says that the best
+    start met a tolerance before the cap.
     """
     # Deferred: criterion imports this module.
     from .criterion import _CHUNK_AMPLITUDES, OptimizerConfig, _ascend_batch
@@ -377,7 +385,7 @@ def max_mk_mean(psi: PureState, config=None) -> MKMeanResult:
 
     values, sweeps, unfinished, best = _ascend_batch(
         lambda d: _means(psi.amplitudes, d), lambda d: _sweep(psi.amplitudes, d), (z,), cfg,
-        max(1, _CHUNK_AMPLITUDES // (n << n)))
+        max(1, _CHUNK_AMPLITUDES // (n << n)), retract=lambda d: (_retract(d),))
     return MKMeanResult(
         settings=MeasurementSettings(n=n, a=z[best].real, a_prime=z[best].imag),
         value=float(values[best]), starts=starts, iterations=int(sweeps[best]),

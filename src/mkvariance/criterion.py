@@ -8,10 +8,10 @@ unitaries.  Each factor U_j enters only through the single-qubit state it
 maps to |0> (two real angles per qubit), and for fixed other factors the
 objective restricted to one qubit is A + B cos(theta) + C sin(theta) cos(chi
 - chi0), which is maximized in closed form.  Multi-start block-coordinate
-ascent over these exact updates, with an extrapolation step after each sweep
-that is kept only where it raises the value, is therefore monotone and
-deterministic given the seed.  Residual overlap phases are removed afterwards
-by a diagonal phase gate on qubit 1.
+ascent over these exact updates, with an extrapolation step after sweeps 11,
+13, 15, ... that is kept only where it raises the value, is therefore
+monotone and deterministic given the seed.  Residual overlap phases are
+removed afterwards by a diagonal phase gate on qubit 1.
 
 All starts ascend together as one batch, which holds each factor U_j as its
 rows and updates them in place.  A sweep builds the Kronecker products of the
@@ -174,23 +174,30 @@ def conjugated_variance(psi: PureState, unitary: LocalUnitary) -> float:
     return variance(rotated, canonical_mk(psi.n).bell)
 
 
-def _end_overlaps(psi: PureState, unitary: LocalUnitary) -> tuple[complex, complex]:
-    rotated = unitary.apply(psi.amplitudes)
+def _end_overlaps(psi: PureState, factors: tuple) -> tuple[complex, complex]:
+    rotated = psi.amplitudes
+    for j, u in enumerate(factors, start=1):
+        rotated = apply_single_qubit(rotated, psi.n, j, u)
     return complex(rotated[0]), complex(rotated[-1])
+
+
+def _phase_fixed(psi: PureState, factors: tuple) -> tuple:
+    """The factors of ``phase_fix``, or ``factors`` itself if no phase moves."""
+    a, b = _end_overlaps(psi, factors)
+    phase_a = -np.angle(a) if abs(a) > 0 else 0.0
+    phase_b = -np.angle(b) if abs(b) > 0 else 0.0
+    if phase_a == 0.0 and phase_b == 0.0:
+        return factors
+    gate = np.diag([np.exp(1j * phase_a), np.exp(1j * phase_b)])
+    return (gate @ factors[0],) + factors[1:]
 
 
 def phase_fix(psi: PureState, unitary: LocalUnitary) -> LocalUnitary:
     """Left-multiply by a diagonal phase gate on qubit 1 so both end overlaps
     become real and nonnegative; moduli (and the objective) are unchanged.
     Zero overlaps are left alone."""
-    a, b = _end_overlaps(psi, unitary)
-    phase_a = -np.angle(a) if abs(a) > 0 else 0.0
-    phase_b = -np.angle(b) if abs(b) > 0 else 0.0
-    if phase_a == 0.0 and phase_b == 0.0:
-        return unitary
-    gate = np.diag([np.exp(1j * phase_a), np.exp(1j * phase_b)])
-    factors = (gate @ unitary.factors[0],) + unitary.factors[1:]
-    return LocalUnitary(factors=factors)
+    factors = _phase_fixed(psi, unitary.factors)
+    return unitary if factors is unitary.factors else LocalUnitary(factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +227,9 @@ def _rows(xis: np.ndarray) -> np.ndarray:
 
 
 def _retract(rows: np.ndarray) -> np.ndarray:
-    """The rows of xi = conj(row 0), normalized per qubit: valid factors again."""
-    xis = rows[..., 0, :].conj()
-    return _rows(xis / np.sqrt(np.add.reduce((xis.conj() * xis).real, axis=-1))[..., None])
+    """Rows ``_rows(xi)`` scaled to unit xi: row 1 of x + lam (x - x_prev) is row 0's image too."""
+    row = rows[..., :1, :]
+    return rows / np.sqrt(np.add.reduce((row * row.conj()).real, axis=-1))[..., None]
 
 
 def _objective(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -297,14 +304,15 @@ def _ascend_batch(
     start stops once a sweep raises its value by less than
     ``VALUE_TOLERANCE``, moves no parameter by ``STEP_TOLERANCE``, or is its
     ``max_iterations``-th; stopped starts leave the batch, and ``params``
-    are updated in place.  With ``retract``, a start that goes on after its
-    second or later sweep tries x + lam (x - x_prev), for its params x_prev
-    and x before and after the sweep, mapped back to valid params by
-    ``retract``; it moves there only if that raises its value by
-    ``VALUE_TOLERANCE``, so no start's value falls.  lam starts at 1 and is
-    kept per start: times 1.5 after a kept step, halved down to 1 after a
-    rejected one (Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl. 30,
-    1128 (2008)).  Sweep counts leave out these evaluations.  The
+    are updated in place.  With ``retract``, a start that goes on after an
+    odd sweep from sweep 11 on (most starts of small states stop sooner, and
+    a step is kept less often right after another) tries x + lam (x -
+    x_prev), for its params x_prev and x before and after the sweep, mapped
+    back to valid params by ``retract``; it moves there only if that raises
+    its value by ``VALUE_TOLERANCE``, so no start's value falls.  lam starts
+    at 1 and is kept per start: times 1.5 after a kept step, halved down to
+    1 after a rejected one (Rajih, Comon & Harshman, SIAM J. Matrix Anal.
+    Appl. 30, 1128 (2008)).  Sweep counts leave out these evaluations.  The
     best start is the lowest index among those whose values agree to 1e-12,
     carried along as starts stop; once it exceeds ``ceiling`` the starts
     still ascending are abandoned with the sweeps they ran and later chunks
@@ -344,7 +352,7 @@ def _ascend_batch(
                 best, settled = _best_start(values[:stopped], best, settled), stopped
                 if index.size == 0 or (settled and values[best] > ceiling):
                     break
-            if retract is not None and sweep_count > 1:
+            if retract is not None and sweep_count >= 11 and sweep_count % 2:
                 scale = lam.reshape(-1, *[1] * (work[0].ndim - 1))
                 candidate = retract(*(x + scale * (x - x_prev) for x, x_prev in zip(work, previous)))
                 trial = evaluate(*candidate)
@@ -410,9 +418,8 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
         lambda r: (_retract(r),))
     abandoned = unfinished & (sweeps < cfg.max_iterations)  # a capped start ran all its sweeps
 
-    unitary = phase_fix(psi, LocalUnitary(factors=tuple(rows[best])))
     return ObjectiveResult(
-        unitary=unitary,
+        unitary=LocalUnitary(factors=_phase_fixed(psi, tuple(rows[best]))),
         value=float(values[best]),
         metadata=OptimizerMetadata(
             starts=starts,
@@ -445,7 +452,7 @@ def decide(
     """
     check_tau(tau)
     result = maximize_objective(psi, config)
-    a, b = _end_overlaps(psi, result.unitary)
+    a, b = _end_overlaps(psi, result.unitary.factors)
     bound = float(2 ** (psi.n - 1))
     delta = max(bound * (abs(a) ** 2 + abs(b) ** 2 - 4 * (a.conjugate() * b).real ** 2), 0.0)
     margin = bound - delta

@@ -2,8 +2,8 @@
 
 The reference below is the original implementation: one start at a time,
 each block update re-contracting the whole state tensor with
-``np.tensordot``, and after every sweep from the second on that goes on, the
-extrapolation step xi + lam (xi - xi_prev) with its own lam.
+``np.tensordot``, and after every odd sweep from the 11th on that goes on,
+the extrapolation step xi + lam (xi - xi_prev) with its own lam.
 ``maximize_objective`` must reproduce its best start and that start's sweep
 count exactly, and its values and phase-fixed end overlaps to 1e-12.  Where
 the ceiling exit cannot fire, the total sweep count and the number of capped
@@ -100,7 +100,7 @@ def _ascend(
         history.append(value)
         if value - history[-2] < VALUE_TOLERANCE or largest_step < STEP_TOLERANCE:
             return xis, value, history, False
-        if 1 < sweep < cfg.max_iterations:
+        if sweep >= 11 and sweep % 2 and sweep < cfg.max_iterations:
             # The extrapolation step, kept only if it raises the value by
             # VALUE_TOLERANCE; the next sweep's increment starts from there.
             candidate = [_unit(xi + lam * (xi - old)) for xi, old in zip(xis, previous)]

@@ -353,15 +353,24 @@ def test_max_mk_mean_ghz_has_no_capped_starts():
 
 
 def test_max_mk_mean_converged_follows_the_best_start():
+    # A 60-sweep cap stops most starts of these Haar states at the cap.
     # Seed 2: all 32 starts stop at the cap, the best (start 28) among them.
-    capped = max_mk_mean(random_state(4, 2), OptimizerConfig(seed=2))
-    assert (capped.capped_starts, capped.best_start, capped.iterations) == (32, 28, 300)
+    capped = max_mk_mean(random_state(4, 2), OptimizerConfig(seed=2, max_iterations=60))
+    assert (capped.capped_starts, capped.best_start, capped.iterations) == (32, 28, 60)
     assert capped.converged is False
-    # Seed 0: 31 starts are capped, but the best (start 12) stops after 268 sweeps.
-    stopped = max_mk_mean(random_state(4, 0), OptimizerConfig(seed=0))
-    assert (stopped.capped_starts, stopped.best_start, stopped.iterations) == (31, 12, 268)
+    # Seed 0: 31 starts are capped, but the best (start 2) stops after 56 sweeps.
+    stopped = max_mk_mean(random_state(4, 0), OptimizerConfig(seed=0, max_iterations=60))
+    assert (stopped.capped_starts, stopped.best_start, stopped.iterations) == (31, 2, 56)
     assert stopped.converged is True
     assert max_mk_mean(generalized_ghz(3, 0.3)).converged is True
+
+
+def test_max_mk_mean_converges_on_a_slowly_creeping_state():
+    # Without the extrapolation step 31 of these 32 starts crept up to the
+    # default 300-sweep cap.
+    result = max_mk_mean(random_state(4, 0), OptimizerConfig(seed=0))
+    assert result.capped_starts == 0
+    assert result.converged is True
 
 
 def test_max_mk_mean_memory_is_chunked():

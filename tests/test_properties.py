@@ -75,26 +75,31 @@ def test_a_sweep_never_lowers_any_start(data, psi, starts):
     assert np.all(after >= before - 1e-12)
 
 
+def both_searches(data, psi, starts):
+    """(evaluate, sweep, retract, params) of the see-saw and of the overlap
+    ascent, with drawn starting params."""
+    a, a_prime = data.draw(unit_vectors(2 * starts * psi.n)).reshape(2, starts, psi.n, 3)
+    t = psi.tensor()
+    return (
+        (lambda d: bell._means(psi.amplitudes, d), lambda d: bell._sweep(psi.amplitudes, d), bell._retract,
+         a + 1j * a_prime),
+        (lambda r: _objective(t, r), lambda r: _sweep(t, r), criterion._retract, overlap_rows(data, psi.n, starts)),
+    )
+
+
 @settings(PROPERTY, max_examples=60)
 @given(data=st.data(), psi=states(5), starts=st.integers(1, 8))
 def test_a_start_sweeps_the_same_in_any_batch(data, psi, starts):
     # Both ascents run their starts in batches of any size, so a start's
-    # starting value and sweep, and the overlap ascent's extrapolated
-    # candidate and its value, must not depend on the starts beside it, bit
-    # for bit.
-    a, a_prime = data.draw(unit_vectors(2 * starts * psi.n)).reshape(2, starts, psi.n, 3)
+    # starting value and sweep, and its extrapolated candidate and that
+    # candidate's value, must not depend on the starts beside it, bit for bit.
     lam = np.array(data.draw(st.lists(st.floats(1.0, 50.0), min_size=starts, max_size=starts)))
-    for evaluate, sweep, retract, t, params in (
-        (bell._means, bell._sweep, None, psi.amplitudes, a + 1j * a_prime),
-        (criterion._objective, criterion._sweep, criterion._retract, psi.tensor(), overlap_rows(data, psi.n, starts)),
-    ):
+    for evaluate, sweep, retract, params in both_searches(data, psi, starts):
         def run(params, lam):
-            results = (evaluate(t, params), *sweep(t, params))
-            if retract is not None:
-                new = results[1]
-                candidate = retract(new + lam.reshape(-1, 1, 1, 1) * (new - params))
-                results += (candidate, evaluate(t, candidate))
-            return results
+            results = (evaluate(params), *sweep(params))
+            new = results[1]
+            candidate = retract(new + lam.reshape(-1, *[1] * (new.ndim - 1)) * (new - params))
+            return results + (candidate, evaluate(candidate))
 
         batch = run(params, lam)
         for start in range(starts):
@@ -103,27 +108,55 @@ def test_a_start_sweeps_the_same_in_any_batch(data, psi, starts):
                 np.testing.assert_array_equal(whole[start:start + 1], single)
 
 
+def ascend(evaluate, sweep, params, cap, retract):
+    """_ascend_batch on a copy of params, as both searches call it: its four
+    results and the final params."""
+    params = params.copy()
+    results = criterion._ascend_batch(
+        evaluate, sweep, (params,), OptimizerConfig(max_iterations=cap), len(params), criterion._CEILING,
+        None if retract is None else lambda x: (retract(x),))
+    return results + (params,)
+
+
 @settings(PROPERTY, max_examples=60)
 @given(data=st.data(), psi=states(5), starts=st.integers(1, 4))
 def test_one_more_sweep_never_lowers_any_start(data, psi, starts):
     # _ascend_batch keeps an extrapolation step only when it raises a
     # start's value, so a start's value after a cap of k + 1 sweeps is at
     # least its value after k, up to the roundoff a sweep may lose at a
-    # maximum (as in test_a_sweep_never_lowers_any_start).
-    t = psi.tensor()
-    rows = overlap_rows(data, psi.n, starts)
+    # maximum (as in test_a_sweep_never_lowers_any_start).  The caps run
+    # past the first five sweeps that try the step, 11 to 19.
+    for evaluate, sweep, retract, params in both_searches(data, psi, starts):
+        previous = ascend(evaluate, sweep, params, 1, retract)[0]
+        for cap in range(2, 22):
+            values = ascend(evaluate, sweep, params, cap, retract)[0]
+            assert np.all(values >= previous - 1e-12)
+            previous = values
 
-    def values_at_cap(cap):
-        values, _, _, _ = criterion._ascend_batch(
-            lambda r: _objective(t, r), lambda r: _sweep(t, r), (rows.copy(),),
-            OptimizerConfig(max_iterations=cap), starts, criterion._CEILING, lambda r: (criterion._retract(r),))
-        return values
 
-    previous = values_at_cap(1)
-    for cap in range(2, 8):
-        values = values_at_cap(cap)
-        assert np.all(values >= previous - 1e-12)
-        previous = values
+@settings(PROPERTY, max_examples=30)
+@given(data=st.data(), psi=states(5), starts=st.integers(1, 4))
+def test_no_step_is_tried_within_ten_sweeps(data, psi, starts):
+    # The step is first tried after sweep 11, so runs of at most ten sweeps,
+    # as on product states, GHZ states and the see-saw's GHZ scans, give
+    # exactly what they give without it.
+    for evaluate, sweep, retract, params in both_searches(data, psi, starts):
+        with_step = ascend(evaluate, sweep, params, 10, retract)
+        for got, plain in zip(with_step, ascend(evaluate, sweep, params, 10, None)):
+            np.testing.assert_array_equal(got, plain)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(data=st.data(), n=st.integers(1, 5), starts=st.integers(1, 4), lam=st.floats(1.0, 50.0))
+def test_the_retract_equals_rebuilding_the_rows(data, n, starts, lam):
+    # _retract scales the extrapolated rows by the norm of row 0 instead of
+    # rebuilding both rows from xi = conj(row 0): row 1 of x + lam (x -
+    # x_prev) is the same real-linear image of row 0 as in x and x_prev.
+    new, old = overlap_rows(data, n, starts), overlap_rows(data, n, starts)
+    candidate = new + lam * (new - old)
+    xis = candidate[..., 0, :].conj()
+    rebuilt = _rows(xis / np.sqrt(np.add.reduce((xis.conj() * xis).real, axis=-1))[..., None])
+    np.testing.assert_array_equal(criterion._retract(candidate), rebuilt)
 
 
 @settings(PROPERTY, max_examples=60)

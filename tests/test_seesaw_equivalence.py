@@ -3,7 +3,9 @@
 The reference below is the original implementation of ``max_mk_mean``: one
 start at a time, and every block update re-runs the literal Klyshko
 recursion of ``klyshko_reference`` six times per qubit (once per
-coefficient of a_j and of a'_j).  The batched see-saw must reproduce its
+coefficient of a_j and of a'_j), and after every odd sweep from the 11th on
+that goes on, the extrapolation step a_j + lam (a_j - a_j_prev) (and the same
+for a'_j) with its own lam.  The batched see-saw must reproduce its
 best start and that start's sweep count exactly, its value to 1e-12 and
 its best settings to 1e-9; on most states it must also reproduce every
 start's value and sweep count.
@@ -23,7 +25,7 @@ from mkvariance import (
     max_mk_mean,
     random_state,
 )
-from mkvariance.bell import _factors, _means, _sweep
+from mkvariance.bell import _factors, _means, _retract, _sweep
 from mkvariance.criterion import STEP_TOLERANCE, VALUE_TOLERANCE, _ascend_batch
 
 from klyshko_reference import dense_pair, raw_mean
@@ -51,12 +53,18 @@ def _reference_starts(n: int, cfg: OptimizerConfig):
             yield a, [random_unit() for _ in range(n)]
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
+
+
 def _reference_ascend(vec, n, a, ap, cfg):
     value = raw_mean(a, ap, vec)
     iters = 0
+    lam = 1.0
     for _ in range(cfg.max_iterations):
         iters += 1
         previous = value
+        before = list(a), list(ap)
         step = 0.0
         for j in range(n):
             grad = np.zeros(3)
@@ -80,6 +88,16 @@ def _reference_ascend(vec, n, a, ap, cfg):
         value = raw_mean(a, ap, vec)
         if value - previous < VALUE_TOLERANCE or step < STEP_TOLERANCE:
             return np.array(a), np.array(ap), value, iters, False
+        if iters >= 11 and iters % 2 and iters < cfg.max_iterations:
+            # The extrapolation step, kept only if it raises the mean by
+            # VALUE_TOLERANCE; the next sweep's increment starts from there.
+            trial_a = [_unit(v + lam * (v - u)) for v, u in zip(a, before[0])]
+            trial_ap = [_unit(v + lam * (v - u)) for v, u in zip(ap, before[1])]
+            trial = raw_mean(trial_a, trial_ap, vec)
+            if trial - value >= VALUE_TOLERANCE:
+                a, ap, value, lam = trial_a, trial_ap, trial, 1.5 * lam
+            else:
+                lam = max(lam / 2, 1.0)
     return np.array(a), np.array(ap), value, iters, True
 
 
@@ -144,7 +162,8 @@ def test_batched_see_saw_matches_reference(kind, n, param, seed, iters):
     starts = list(_reference_starts(n, cfg))
     z = np.array([np.array(a) + 1j * np.array(ap) for a, ap in starts])
     values, sweeps, unfinished, _ = _ascend_batch(
-        lambda d: _means(psi.amplitudes, d), lambda d: _sweep(psi.amplitudes, d), (z,), cfg, len(z))
+        lambda d: _means(psi.amplitudes, d), lambda d: _sweep(psi.amplitudes, d), (z,), cfg, len(z),
+        retract=lambda d: (_retract(d),))
     capped = int(unfinished.sum())
     exempt = SADDLE_STARTS.get(kind, set())
     for start, (_, _, ref_value, ref_sweeps, _) in enumerate(runs):
