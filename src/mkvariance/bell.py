@@ -267,7 +267,7 @@ def canonical_mk(n: int) -> MKOperatorPair:
 def _means(t: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Re c <psi|(x)_j O_j|psi> = <psi|B|psi> per start, for z[s, j] = a_j + i a'_j of shape
     (S, n, 3).  The overlap sums rows of 2S floats, as ``_environment``: in one order for any S."""
-    image = np.broadcast_to(t[:, None], (t.size, len(z)))
+    image = t[:, None].repeat(len(z), 1)
     for j, gates in enumerate(_factors(z.transpose(1, 2, 0).copy())):
         image = _apply_factor(image, gates, j)
     return (_prefactor(z.shape[1]) * (t.conj()[:, None] * image).view(float).sum(0).view(complex)).real
@@ -303,7 +303,7 @@ def _environment(ket: np.ndarray, bra_conj: np.ndarray, j: int) -> np.ndarray:
     k = ket.reshape(shape).transpose(0, 2, 1, 3)[:, :, :, None]
     b = bra_conj.reshape(shape).transpose(0, 2, 1, 3)[:, :, None]
     product = np.multiply(k, b, out=np.empty(k.shape[:3] + (2, starts), dtype=complex))
-    return product.reshape(-1, 4 * starts).sum(axis=0).reshape(4, starts)
+    return np.add.reduce(product.reshape(-1, 4 * starts)).reshape(4, starts)
 
 
 def _sweep(t: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -317,31 +317,25 @@ def _sweep(t: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
     w = c Tr(sigma R_j) the mean is a_j . Re w - a'_j . Im w, so z_j follows
     conj(w), each part normalized.  No sum's order depends on S, so a start
     sweeps the same in any batch.  Costs O(S n 2**n); returns the new
-    directions, the means after the last update and the largest steps.
+    directions and the means after the last update.
     """
     starts, n = z.shape[:2]
     d = z.transpose(1, 2, 0).copy()
     factors = _factors(d)
-    kets = [np.broadcast_to(t[:, None], (t.size, starts))]
+    kets = [t[:, None].repeat(starts, 1)]
     for j in range(n - 1, 0, -1):
         kets.insert(0, _apply_factor(kets[0], factors[j], j))
-    bra_conj = np.broadcast_to(t.conj()[:, None], (t.size, starts))
-    # As floats, start s has a_j in column 2s and a'_j in 2s + 1.  Steps are squared.
-    largest_step = np.zeros(2 * starts)
+    bra_conj = t.conj()[:, None].repeat(starts, 1)
+    # As floats, start s has a_j in column 2s and a'_j in 2s + 1.
     for j in range(n):
         coefficients = (_prefactor(n) * (_TRACE @ _environment(kets[j], bra_conj, j))).conj().view(float)
         old = d[j].view(float)
-        square = coefficients * coefficients
-        norm = np.sqrt(square[0] + square[1] + square[2])
-        new = np.where(norm > 1e-14, coefficients / np.maximum(norm, 1e-300), old)
-        square = (new - old) ** 2
-        largest_step = np.maximum(largest_step, square[0] + square[1] + square[2])
-        old[:] = new
+        norm = np.sqrt(np.add.reduce(coefficients * coefficients))
+        old[:] = np.where(norm > 1e-14, coefficients / np.maximum(norm, 1e-300), old)
         if j + 1 < n:
             bra_conj = _apply_factor(bra_conj, _factors(d[j]).swapaxes(0, 1), j)
     terms = (old * coefficients).reshape(3, starts, 2).sum(axis=-1)
-    largest_step = np.sqrt(largest_step.reshape(starts, 2).max(axis=1))
-    return d.transpose(2, 0, 1), terms[0] + terms[1] + terms[2], largest_step
+    return d.transpose(2, 0, 1), terms[0] + terms[1] + terms[2]
 
 
 def _retract(z: np.ndarray) -> np.ndarray:
@@ -351,6 +345,21 @@ def _retract(z: np.ndarray) -> np.ndarray:
     return parts.reshape(z.shape[:-1] + (6,)).view(complex)
 
 
+@lru_cache(maxsize=32)
+def _start_directions(n: int, starts: int, seed: int) -> np.ndarray:
+    """``max_mk_mean``'s starting rows z_j = a_j + i a'_j as (starts, n, 3), made once and read-only."""
+    canon = canonical_settings(n)
+    axial = np.broadcast_to(np.eye(3)[[2, 0], None], (2, n, 3))  # a_j = z, a'_j = x
+    drawn = np.random.default_rng(seed).standard_normal((max(starts - 2, 0), 2, n, 3))
+    # The norm np.linalg.norm takes of a single vector, so that the draws
+    # match those of one vector at a time bit for bit.
+    drawn /= np.sqrt(drawn[..., None, :] @ drawn[..., :, None])[..., 0]
+    dirs = np.concatenate([[[canon.a, canon.a_prime], axial], drawn])[:starts]
+    z = dirs[:, 0] + 1j * dirs[:, 1]
+    z.setflags(write=False)
+    return z
+
+
 def max_mk_mean(psi: PureState, config=None) -> MKMeanResult:
     """Maximize <psi|B(settings)|psi> over all measurement settings.
 
@@ -358,13 +367,13 @@ def max_mk_mean(psi: PureState, config=None) -> MKMeanResult:
     each qubit's pair (a_j, a'_j) with the others held fixed, so every block
     update is exact (see ``_sweep``).  Start 0 is the canonical fan, start 1
     the all-z axial configuration, the rest are seeded random directions;
-    each is one (n, 3) row z_j = a_j + i a'_j of the search's parameter.
+    each is one (n, 3) row z_j = a_j + i a'_j, a copy of ``_start_directions``.
     The starts run on ``criterion._ascend_batch`` with no ceiling and with
     ``_retract`` for the extrapolation step, in chunks of 2**18 // (n 2**n),
     which bounds the cached kets.  ``total_sweeps`` adds up the sweeps of all
     starts; ``capped_starts`` counts those that used all ``max_iterations``
-    sweeps without meeting either tolerance; ``converged`` says that the best
-    start met a tolerance before the cap.
+    sweeps without meeting the tolerance; ``converged`` says that the best
+    start met it before the cap.
     """
     # Deferred: criterion imports this module.
     from .criterion import _CHUNK_AMPLITUDES, OptimizerConfig, _ascend_batch
@@ -374,14 +383,7 @@ def max_mk_mean(psi: PureState, config=None) -> MKMeanResult:
     if n < 2:
         raise ValueError("mean maximization requires n >= 2")
     starts = cfg.resolved_starts(n)
-    canon = canonical_mk(n).settings
-    axial = np.broadcast_to(np.eye(3)[[2, 0], None], (2, n, 3))  # a_j = z, a'_j = x
-    drawn = np.random.default_rng(cfg.seed).standard_normal((max(starts - 2, 0), 2, n, 3))
-    # The norm np.linalg.norm takes of a single vector, so that the draws
-    # match those of one vector at a time bit for bit.
-    drawn /= np.sqrt(drawn[..., None, :] @ drawn[..., :, None])[..., 0]
-    dirs = np.concatenate([[[canon.a, canon.a_prime], axial], drawn])[:starts]
-    z = dirs[:, 0] + 1j * dirs[:, 1]
+    z = _start_directions(n, starts, cfg.seed).copy()
 
     values, sweeps, unfinished, best = _ascend_batch(
         lambda d: _means(psi.amplitudes, d), lambda d: _sweep(psi.amplitudes, d), (z,), cfg,

@@ -19,7 +19,7 @@ rows of the qubits still to be updated once, and carries the state contracted
 with the rows already updated, so it costs O(S 2**n) for S starts.
 ``_ascend_batch`` drives this search and the MK mean see-saw of
 ``bell.max_mk_mean`` alike: it runs the starts in chunks that bound the
-working memory at large n, stops each start on its own rule, and keeps the
+working memory at large n, stops each start by its gain alone, and keeps the
 lowest-index best.  Here a chunk holds 2**18 // 2**n starts, and the search
 ends early, with the same result, once the best of the stopped starts
 reaches the objective's ceiling 1: no later start can beat it.
@@ -40,7 +40,6 @@ from .linalg import PureState, _is_integer, apply_single_qubit
 
 DECISION_TAU = 1e-6
 UNITARY_TOL = 1e-10
-STEP_TOLERANCE = 1e-10
 VALUE_TOLERANCE = 1e-12
 
 
@@ -265,14 +264,13 @@ def _block_update(m: np.ndarray, old: np.ndarray, new: np.ndarray) -> tuple[np.n
     return p, q, radius
 
 
-def _sweep(t: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sweep(t: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One pass of block updates over qubits 1..n for every start of the batch.
 
     The Kronecker products of the old rows of qubits k > j are built once;
     the rows of qubits k < j enter through the running left-contracted
-    tensor, so the pass costs O(S 2**n).  Returns the new rows, each start's
-    objective after its last update, and each start's largest step, taken
-    on row 0 = conj(xi).
+    tensor, so the pass costs O(S 2**n).  Returns the new rows and each
+    start's objective after its last update.
     """
     s, n = rows.shape[:2]
     suffix = [rows[:, n - 1]]
@@ -287,9 +285,7 @@ def _sweep(t: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
         p, q, radius = _block_update(m, rows[:, j], out[:, j])
         if j < n - 1:
             left = (out[:, j, :, None, :] @ block)[:, :, 0, :]
-    step = out[:, :, 0] - rows[:, :, 0]
-    largest_step = np.sqrt(np.add.reduce((step.conj() * step).real, axis=-1).max(axis=1))
-    return out, (p + q) / 2.0 + radius, largest_step
+    return out, (p + q) / 2.0 + radius
 
 
 def _ascend_batch(
@@ -300,24 +296,25 @@ def _ascend_batch(
 
     ``params`` hold one row per start.  Starts run in chunks of ``chunk``;
     ``evaluate(*rows)`` gives a chunk's starting values and ``sweep(*rows)``
-    the new rows, values and largest steps of the starts it is given.  A
-    start stops once a sweep raises its value by less than
-    ``VALUE_TOLERANCE``, moves no parameter by ``STEP_TOLERANCE``, or is its
-    ``max_iterations``-th; stopped starts leave the batch, and ``params``
-    are updated in place.  With ``retract``, a start that goes on after an
-    odd sweep from sweep 11 on (most starts of small states stop sooner, and
-    a step is kept less often right after another) tries x + lam (x -
-    x_prev), for its params x_prev and x before and after the sweep, mapped
-    back to valid params by ``retract``; it moves there only if that raises
-    its value by ``VALUE_TOLERANCE``, so no start's value falls.  lam starts
-    at 1 and is kept per start: times 1.5 after a kept step, halved down to
-    1 after a rejected one (Rajih, Comon & Harshman, SIAM J. Matrix Anal.
-    Appl. 30, 1128 (2008)).  Sweep counts leave out these evaluations.  The
-    best start is the lowest index among those whose values agree to 1e-12,
-    carried along as starts stop; once it exceeds ``ceiling`` the starts
-    still ascending are abandoned with the sweeps they ran and later chunks
-    never run.  Returns each start's value, its sweep count and whether it
-    met neither tolerance (capped or abandoned), and the best start.
+    the new rows and values of the starts it is given.  A start stops once a
+    sweep raises its value by less than ``VALUE_TOLERANCE`` (each block
+    update maximizes exactly, so a sweep's gain is quadratic in its steps and
+    no step test is needed) or is its ``max_iterations``-th; stopped starts
+    leave the batch, and ``params`` are updated in place.  With ``retract``,
+    a start that goes on after an odd sweep from sweep 11 on (most starts of
+    small states stop sooner, and a step is kept less often right after
+    another) tries x + lam (x - x_prev), for its params x_prev and x before
+    and after the sweep, mapped back to valid params by ``retract``; it moves
+    there only if that raises its value by ``VALUE_TOLERANCE``, so no start's
+    value falls.  lam starts at 1 and is kept per start: times 1.5 after a
+    kept step, halved down to 1 after a rejected one (Rajih, Comon &
+    Harshman, SIAM J. Matrix Anal. Appl. 30, 1128 (2008)).  Sweep counts
+    leave out these evaluations.  The best start is the lowest index among
+    those whose values agree to 1e-12, carried along as starts stop; once it
+    exceeds ``ceiling`` the starts still ascending are abandoned with the
+    sweeps they ran and later chunks never run.  Returns each start's value,
+    its sweep count and whether it never met the tolerance (capped or
+    abandoned), and the best start.
     """
     starts = len(params[0])
     values = np.zeros(starts)
@@ -328,24 +325,24 @@ def _ascend_batch(
         part = tuple(p[lo:lo + chunk] for p in params)
         vals, counts = values[lo:lo + chunk], sweeps[lo:lo + chunk]
         vals[:] = evaluate(*part)
-        # The starts still ascending, compacted: their chunk indices, rows and
-        # values.  A start's results are written back once, when it stops.
-        index, work, current = np.arange(len(vals)), part, vals.copy()
-        lam = np.ones(len(vals))
+        # The starts still ascending, compacted: their chunk indices, rows,
+        # values and lam.  A start's results are written back once, when it stops.
+        index, work, current, lam = np.arange(len(vals)), part, vals.copy(), np.ones(len(vals))
         for sweep_count in range(1, cfg.max_iterations + 1):
             previous = work
-            *work, value, largest_step = sweep(*work)
-            done = (value - current < VALUE_TOLERANCE) | (largest_step < STEP_TOLERANCE)
+            *work, value = sweep(*work)
+            done = value - current < VALUE_TOLERANCE
             current = value
             if sweep_count == cfg.max_iterations:
                 unfinished[lo + index[~done]] = True
                 done[:] = True
             if done.any():
+                stops, going = index[done], ~done
                 for p, rows in zip(part, work):
-                    p[index[done]] = rows[done]
-                vals[index[done]], counts[index[done]] = current[done], sweep_count
-                index, current, lam = index[~done], current[~done], lam[~done]
-                work, previous = [rows[~done] for rows in work], [rows[~done] for rows in previous]
+                    p[stops] = rows[done]
+                vals[stops], counts[stops] = current[done], sweep_count
+                index, current, lam = index[going], current[going], lam[going]
+                work, previous = [rows[going] for rows in work], [rows[going] for rows in previous]
                 # The starts before the first one still ascending have stopped;
                 # the best is final only once one has.
                 stopped = lo + (index[0] if index.size else len(vals))
@@ -394,10 +391,10 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
     the extrapolation step.  ``total_sweeps`` adds up the sweeps of all
     starts, abandoned ones included, not the step's objective evaluations;
     ``capped_starts`` counts the starts that used all ``max_iterations``
-    sweeps without meeting either tolerance.  ``starts_at_best`` counts the
+    sweeps without meeting the tolerance.  ``starts_at_best`` counts the
     stopped starts within 1e-9 of the best value, not those abandoned at the
     ceiling or in chunks that never ran; ``converged`` says that the best
-    start met a tolerance before the cap.
+    start met the tolerance before the cap.
     """
     cfg = config if config is not None else OptimizerConfig()
     n = psi.n

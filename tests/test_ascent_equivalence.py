@@ -27,7 +27,7 @@ from mkvariance import (
     random_product_state,
     random_state,
 )
-from mkvariance.criterion import STEP_TOLERANCE, VALUE_TOLERANCE
+from mkvariance.criterion import VALUE_TOLERANCE
 
 # --- reference: the per-start ascent -------------------------------------
 
@@ -58,7 +58,7 @@ def _objective_from_xis(t: np.ndarray, xis: list[np.ndarray]) -> float:
     return abs(complex(t0)) ** 2 + abs(complex(t1)) ** 2
 
 
-def _block_update(t: np.ndarray, xis: list[np.ndarray], j: int) -> tuple[np.ndarray, float, float]:
+def _block_update(t: np.ndarray, xis: list[np.ndarray], j: int) -> tuple[np.ndarray, float]:
     t0 = t
     t1 = t
     axis = 0
@@ -76,12 +76,10 @@ def _block_update(t: np.ndarray, xis: list[np.ndarray], j: int) -> tuple[np.ndar
     g = m0[1] * np.conj(m0[0]) - np.conj(m1[0]) * m1[1]
     radius = math.hypot((p - q) / 2.0, abs(g))
     if radius < 1e-300:
-        return xis[j], (p + q) / 2.0, 0.0
+        return xis[j], (p + q) / 2.0
     chi = float(np.angle(g))
     theta = math.atan2(abs(g), (p - q) / 2.0)
-    xi_new = _xi_from_angles(theta, chi)
-    step = float(np.linalg.norm(xi_new - xis[j]))
-    return xi_new, (p + q) / 2.0 + radius, step
+    return _xi_from_angles(theta, chi), (p + q) / 2.0 + radius
 
 
 def _ascend(
@@ -93,12 +91,10 @@ def _ascend(
     lam = 1.0
     for sweep in range(1, cfg.max_iterations + 1):
         previous = list(xis)
-        largest_step = 0.0
         for j in range(len(xis)):
-            xis[j], value, step = _block_update(t, xis, j)
-            largest_step = max(largest_step, step)
+            xis[j], value = _block_update(t, xis, j)
         history.append(value)
-        if value - history[-2] < VALUE_TOLERANCE or largest_step < STEP_TOLERANCE:
+        if value - history[-2] < VALUE_TOLERANCE:
             return xis, value, history, False
         if sweep >= 11 and sweep % 2 and sweep < cfg.max_iterations:
             # The extrapolation step, kept only if it raises the value by

@@ -26,6 +26,7 @@ from mkvariance import (
     mk_pair,
     random_state,
 )
+from mkvariance.bell import _start_directions
 
 from klyshko_reference import apply_pair, corner_canonical_settings, dense_pair
 
@@ -330,6 +331,25 @@ def test_max_mk_mean_deterministic():
     np.testing.assert_array_equal(r1.settings.a, r2.settings.a)
 
 
+def test_max_mk_mean_start_cache_survives_another_state():
+    # The starting directions are made once per (n, starts, seed).  Calls
+    # that wrote into the cached array would start the second run on A from
+    # B's maxima.  Two runs on A alone may not show that: each converged
+    # start restarts at its own maximum and returns the same value.
+    config = OptimizerConfig(seed=5, starts=8)
+
+    def record(result):
+        settings = result.settings.a.tobytes() + result.settings.a_prime.tobytes()
+        return (repr(result.value), result.best_start, result.iterations, result.total_sweeps,
+                result.capped_starts, result.converged, settings)
+
+    first = record(max_mk_mean(random_state(3, 11), config))
+    max_mk_mean(random_state(3, 12), config)
+    assert record(max_mk_mean(random_state(3, 11), config)) == first
+    with pytest.raises(ValueError, match="read-only"):
+        _start_directions(3, 8, 5)[0, 0, 0] = 0
+
+
 def test_max_mk_mean_reports_start_metadata():
     result = max_mk_mean(ghz(2), OptimizerConfig(seed=0, starts=5))
     assert result.starts == 5
@@ -338,7 +358,7 @@ def test_max_mk_mean_reports_start_metadata():
 
 
 def test_max_mk_mean_counts_capped_starts():
-    # One sweep cannot meet either tolerance from a random start.
+    # One sweep cannot meet the tolerance from a random start.
     result = max_mk_mean(random_state(3, 7), OptimizerConfig(seed=0, max_iterations=1))
     assert result.total_sweeps == result.starts
     assert result.capped_starts > 0

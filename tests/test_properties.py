@@ -71,7 +71,7 @@ def test_a_sweep_never_lowers_any_start(data, psi, starts):
     t = psi.tensor()
     rows = overlap_rows(data, psi.n, starts)
     before = _objective(t, rows)
-    _, after, _ = _sweep(t, rows)
+    _, after = _sweep(t, rows)
     assert np.all(after >= before - 1e-12)
 
 
@@ -85,6 +85,29 @@ def both_searches(data, psi, starts):
          a + 1j * a_prime),
         (lambda r: _objective(t, r), lambda r: _sweep(t, r), criterion._retract, overlap_rows(data, psi.n, starts)),
     )
+
+
+@settings(PROPERTY, max_examples=60)
+@given(data=st.data(), psi=states(5), starts=st.integers(1, 4), warm=st.integers(0, 40))
+def test_a_sweep_gains_at_most_its_squared_steps(data, psi, starts, warm):
+    # Each block update is an exact maximization, so its gain is quadratic
+    # in its step: |u| delta^2 / 2 for a see-saw direction, with |u| at most
+    # the norm bound 2^((n-1)/2), and at most 2 delta^2 for an overlap row
+    # (the gap of a 2x2 form whose trace is at most 2).  A sweep that moves
+    # no parameter by 1e-10 therefore cannot raise a start by
+    # VALUE_TOLERANCE, and _ascend_batch needs no step test.  ``warm`` sweeps
+    # first bring starts near a maximum, where the steps are small.
+    seesaw, overlap = both_searches(data, psi, starts)
+    for (evaluate, sweep, _, params), scale, moved in (
+        (seesaw, 2 ** ((psi.n - 1) / 2), lambda d: d),
+        (overlap, 2.0, lambda r: r[:, :, 0]),
+    ):
+        for _ in range(warm):
+            params = sweep(params)[0]
+        new, after = sweep(params)
+        squares = np.abs(moved(new) - moved(params)) ** 2
+        bound = scale * squares.reshape(starts, -1).sum(axis=1)
+        assert np.all(after - evaluate(params) <= bound + 1e-14)
 
 
 @settings(PROPERTY, max_examples=60)

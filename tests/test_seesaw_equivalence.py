@@ -26,7 +26,7 @@ from mkvariance import (
     random_state,
 )
 from mkvariance.bell import _factors, _means, _retract, _sweep
-from mkvariance.criterion import STEP_TOLERANCE, VALUE_TOLERANCE, _ascend_batch
+from mkvariance.criterion import VALUE_TOLERANCE, _ascend_batch
 
 from klyshko_reference import dense_pair, raw_mean
 
@@ -65,7 +65,6 @@ def _reference_ascend(vec, n, a, ap, cfg):
         iters += 1
         previous = value
         before = list(a), list(ap)
-        step = 0.0
         for j in range(n):
             grad = np.zeros(3)
             grad_p = np.zeros(3)
@@ -77,16 +76,12 @@ def _reference_ascend(vec, n, a, ap, cfg):
                 grad_p[k] = raw_mean(a[:j] + [zero] + a[j + 1:], ap[:j] + [axis] + ap[j + 1:], vec)
             norm = np.linalg.norm(grad)
             if norm > 1e-14:
-                new = grad / norm
-                step = max(step, float(np.linalg.norm(new - a[j])))
-                a[j] = new
+                a[j] = grad / norm
             norm_p = np.linalg.norm(grad_p)
             if norm_p > 1e-14:
-                new_p = grad_p / norm_p
-                step = max(step, float(np.linalg.norm(new_p - ap[j])))
-                ap[j] = new_p
+                ap[j] = grad_p / norm_p
         value = raw_mean(a, ap, vec)
-        if value - previous < VALUE_TOLERANCE or step < STEP_TOLERANCE:
+        if value - previous < VALUE_TOLERANCE:
             return np.array(a), np.array(ap), value, iters, False
         if iters >= 11 and iters % 2 and iters < cfg.max_iterations:
             # The extrapolation step, kept only if it raises the mean by
