@@ -156,25 +156,18 @@ class MKOperator:
         return self._dense_cache
 
     def operator_norm(self) -> float:
-        """Largest |eigenvalue|: dense eigendecomposition for n <= DENSE_QUBIT_CAP,
-        matrix-free power iteration on B^2 otherwise."""
-        if self.n <= DENSE_QUBIT_CAP:
-            return float(np.max(np.abs(np.linalg.eigvalsh(self.dense()))))
-        rng = np.random.default_rng(12345)
-        v = rng.standard_normal(2**self.n) + 1j * rng.standard_normal(2**self.n)
-        v /= np.linalg.norm(v)
-        lam_sq = 0.0
-        for _ in range(200):
-            w = self.apply(self.apply(v))
-            lam_new = float(np.linalg.norm(w))
-            if lam_new == 0.0:
-                return 0.0
-            v = w / lam_new
-            if abs(lam_new - lam_sq) < 1e-12 * max(lam_new, 1.0):
-                lam_sq = lam_new
-                break
-            lam_sq = lam_new
-        return math.sqrt(lam_sq)
+        """Largest |eigenvalue|, in closed form from the product form.
+
+        O_j^2 = 2i (a_j . a'_j) I and c^2 (2i)^(n-1) = 1, so M^2 = 2i prod_j
+        (a_j . a'_j) I is imaginary and B^2 = (M M^dag + M^dag M)/4.  With
+        O_j O_j^dag = 2 (I + n_j . sigma), O_j^dag O_j = 2 (I - n_j . sigma),
+        n_j = a_j x a'_j, and |c|^2 2^n = 2, B^2 = ((x)_j (I + n_j . sigma) +
+        (x)_j (I - n_j . sigma))/2: diagonal in the product eigenbasis of the
+        n_j . sigma and largest on the product of their top eigenvectors, so
+        ||B||^2 = (prod_j (1 + r_j) + prod_j (1 - r_j))/2 with r_j = |n_j|.
+        """
+        r = np.linalg.norm(np.cross(self.settings.a, self.settings.a_prime), axis=1)
+        return math.sqrt((np.prod(1 + r) + np.prod(1 - r)) / 2)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"MKOperator(n={self.n})"
@@ -370,10 +363,10 @@ def max_mk_mean(psi: PureState, config=None) -> MKMeanResult:
     each is one (n, 3) row z_j = a_j + i a'_j, a copy of ``_start_directions``.
     The starts run on ``criterion._ascend_batch`` with no ceiling and with
     ``_retract`` for the extrapolation step, in chunks of 2**18 // (n 2**n),
-    which bounds the cached kets.  ``total_sweeps`` adds up the sweeps of all
-    starts; ``capped_starts`` counts those that used all ``max_iterations``
-    sweeps without meeting the tolerance; ``converged`` says that the best
-    start met it before the cap.
+    which bounds the cached kets.  The result copies the driver's run record:
+    ``total_sweeps`` adds up the sweeps of all starts; ``capped_starts``
+    counts those that used all ``max_iterations`` sweeps without meeting the
+    tolerance; ``converged`` says that the best start met it before the cap.
     """
     # Deferred: criterion imports this module.
     from .criterion import _CHUNK_AMPLITUDES, OptimizerConfig, _ascend_batch
@@ -382,14 +375,12 @@ def max_mk_mean(psi: PureState, config=None) -> MKMeanResult:
     n = psi.n
     if n < 2:
         raise ValueError("mean maximization requires n >= 2")
-    starts = cfg.resolved_starts(n)
-    z = _start_directions(n, starts, cfg.seed).copy()
-
-    values, sweeps, unfinished, best = _ascend_batch(
-        lambda d: _means(psi.amplitudes, d), lambda d: _sweep(psi.amplitudes, d), (z,), cfg,
-        max(1, _CHUNK_AMPLITUDES // (n << n)), retract=lambda d: (_retract(d),))
+    z = _start_directions(n, cfg.resolved_starts(n), cfg.seed).copy()
+    values, _, meta = _ascend_batch(
+        lambda d: _means(psi.amplitudes, d), lambda d: _sweep(psi.amplitudes, d), _retract, z, cfg,
+        max(1, _CHUNK_AMPLITUDES // (n << n)))
+    best = meta.best_start
     return MKMeanResult(
         settings=MeasurementSettings(n=n, a=z[best].real, a_prime=z[best].imag),
-        value=float(values[best]), starts=starts, iterations=int(sweeps[best]),
-        best_start=best, total_sweeps=int(sweeps.sum()), capped_starts=int(unfinished.sum()),
-        converged=not unfinished[best])
+        value=float(values[best]), starts=meta.starts, iterations=meta.iterations, best_start=best,
+        total_sweeps=meta.total_sweeps, capped_starts=meta.capped_starts, converged=meta.converged)

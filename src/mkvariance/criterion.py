@@ -19,8 +19,8 @@ rows of the qubits still to be updated once, and carries the state contracted
 with the rows already updated, so it costs O(S 2**n) for S starts.
 ``_ascend_batch`` drives this search and the MK mean see-saw of
 ``bell.max_mk_mean`` alike: it runs the starts in chunks that bound the
-working memory at large n, stops each start by its gain alone, and keeps the
-lowest-index best.  Here a chunk holds 2**18 // 2**n starts, and the search
+working memory at large n, stops each start by its gain alone, keeps the
+lowest-index best and builds the run record of either search.  Here a chunk holds 2**18 // 2**n starts, and the search
 ends early, with the same result, once the best of the stopped starts
 reaches the objective's ceiling 1: no later start can beat it.
 
@@ -289,48 +289,45 @@ def _sweep(t: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ascend_batch(
-    evaluate, sweep, params: tuple, cfg: OptimizerConfig, chunk: int, ceiling: float = math.inf,
-    retract=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    evaluate, sweep, retract, params: np.ndarray, cfg: OptimizerConfig, chunk: int, ceiling: float = math.inf,
+) -> tuple[np.ndarray, np.ndarray, OptimizerMetadata]:
     """The multi-start driver of both block ascents.
 
-    ``params`` hold one row per start.  Starts run in chunks of ``chunk``;
-    ``evaluate(*rows)`` gives a chunk's starting values and ``sweep(*rows)``
-    the new rows and values of the starts it is given.  A start stops once a
-    sweep raises its value by less than ``VALUE_TOLERANCE`` (each block
-    update maximizes exactly, so a sweep's gain is quadratic in its steps and
-    no step test is needed) or is its ``max_iterations``-th; stopped starts
-    leave the batch, and ``params`` are updated in place.  With ``retract``,
-    a start that goes on after an odd sweep from sweep 11 on (most starts of
-    small states stop sooner, and a step is kept less often right after
-    another) tries x + lam (x - x_prev), for its params x_prev and x before
-    and after the sweep, mapped back to valid params by ``retract``; it moves
-    there only if that raises its value by ``VALUE_TOLERANCE``, so no start's
-    value falls.  lam starts at 1 and is kept per start: times 1.5 after a
-    kept step, halved down to 1 after a rejected one (Rajih, Comon &
-    Harshman, SIAM J. Matrix Anal. Appl. 30, 1128 (2008)).  Sweep counts
-    leave out these evaluations.  The best start is the lowest index among
-    those whose values agree to 1e-12, carried along as starts stop; once it
-    exceeds ``ceiling`` the starts still ascending are abandoned with the
-    sweeps they ran and later chunks never run.  Returns each start's value,
-    its sweep count and whether it never met the tolerance (capped or
-    abandoned), and the best start.
+    ``params`` holds one row per start and is updated in place.  Starts run
+    in chunks of ``chunk``; ``evaluate(x)`` gives the values of the rows x
+    and ``sweep(x)`` their new rows and values.  A start stops once a sweep
+    raises its value by less than ``VALUE_TOLERANCE`` (each block update
+    maximizes exactly, so a sweep's gain is quadratic in its steps and no
+    step test is needed) or is its ``max_iterations``-th; stopped starts
+    leave the batch.  A start that goes on after an odd sweep from sweep 11
+    on (most starts of small states stop sooner, and a step is kept less
+    often right after another) tries ``retract(x + lam (x - x_prev))``, for
+    its rows x_prev and x before and after the sweep, mapped back to valid
+    rows; it moves there only if that raises its value by
+    ``VALUE_TOLERANCE``, so no start's value falls.  lam starts at 1 and is
+    kept per start: times 1.5 after a kept step, halved down to 1 after a
+    rejected one (Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl. 30,
+    1128 (2008)).  Sweep counts leave out these evaluations.  The best start
+    is the lowest index among those whose values agree to 1e-12, carried
+    along as starts stop; once it exceeds ``ceiling`` the starts still
+    ascending are abandoned with the sweeps they ran and later chunks never
+    run.  Returns each start's value and sweep count, and the run record
+    (see ``maximize_objective``).
     """
-    starts = len(params[0])
+    starts = len(params)
     values = np.zeros(starts)
     sweeps = np.zeros(starts, dtype=int)
     unfinished = np.zeros(starts, dtype=bool)
     best = settled = 0
     for lo in range(0, starts, chunk):
-        part = tuple(p[lo:lo + chunk] for p in params)
-        vals, counts = values[lo:lo + chunk], sweeps[lo:lo + chunk]
-        vals[:] = evaluate(*part)
+        part, vals, counts = params[lo:lo + chunk], values[lo:lo + chunk], sweeps[lo:lo + chunk]
+        vals[:] = evaluate(part)
         # The starts still ascending, compacted: their chunk indices, rows,
         # values and lam.  A start's results are written back once, when it stops.
-        index, work, current, lam = np.arange(len(vals)), part, vals.copy(), np.ones(len(vals))
+        index, x, current, lam = np.arange(len(vals)), part, vals.copy(), np.ones(len(vals))
         for sweep_count in range(1, cfg.max_iterations + 1):
-            previous = work
-            *work, value = sweep(*work)
+            previous = x
+            x, value = sweep(x)
             done = value - current < VALUE_TOLERANCE
             current = value
             if sweep_count == cfg.max_iterations:
@@ -338,46 +335,41 @@ def _ascend_batch(
                 done[:] = True
             if done.any():
                 stops, going = index[done], ~done
-                for p, rows in zip(part, work):
-                    p[stops] = rows[done]
-                vals[stops], counts[stops] = current[done], sweep_count
+                part[stops], vals[stops], counts[stops] = x[done], current[done], sweep_count
                 index, current, lam = index[going], current[going], lam[going]
-                work, previous = [rows[going] for rows in work], [rows[going] for rows in previous]
+                x, previous = x[going], previous[going]
                 # The starts before the first one still ascending have stopped;
                 # the best is final only once one has.
                 stopped = lo + (index[0] if index.size else len(vals))
-                best, settled = _best_start(values[:stopped], best, settled), stopped
+                for k in range(settled, stopped):
+                    if values[k] > values[best] + 1e-12:
+                        best = k
+                settled = stopped
                 if index.size == 0 or (settled and values[best] > ceiling):
                     break
-            if retract is not None and sweep_count >= 11 and sweep_count % 2:
-                scale = lam.reshape(-1, *[1] * (work[0].ndim - 1))
-                candidate = retract(*(x + scale * (x - x_prev) for x, x_prev in zip(work, previous)))
-                trial = evaluate(*candidate)
+            if sweep_count >= 11 and sweep_count % 2:
+                candidate = retract(x + lam.reshape(-1, *[1] * (x.ndim - 1)) * (x - previous))
+                trial = evaluate(candidate)
                 kept = trial - current >= VALUE_TOLERANCE
-                for rows, moved in zip(work, candidate):
-                    rows[kept] = moved[kept]
+                x[kept] = candidate[kept]
                 current = np.where(kept, trial, current)
                 lam = np.where(kept, 1.5 * lam, np.maximum(lam / 2, 1.0))
         # Starts still ascending here were abandoned at the ceiling.
-        for p, rows in zip(part, work):
-            p[index] = rows
-        vals[index], counts[index] = current, sweep_count
+        part[index], vals[index], counts[index] = x, current, sweep_count
         unfinished[lo + index] = True
         if values[best] > ceiling:
             break
-    return values, sweeps, unfinished, best
-
-
-def _best_start(values: np.ndarray, best: int = 0, start: int = 0) -> int:
-    """The lowest start index among the starts whose values agree to 1e-12.
-
-    ``best`` is the choice over the starts before ``start``, so a caller can
-    carry the choice along as more starts stop.
-    """
-    for k in range(start, len(values)):
-        if values[k] > values[best] + 1e-12:
-            best = k
-    return best
+    abandoned = unfinished & (sweeps < cfg.max_iterations)  # a capped start ran all its sweeps
+    return values, sweeps, OptimizerMetadata(
+        starts=starts,
+        iterations=int(sweeps[best]),
+        best_start=best,
+        identity_value=float(values[0]),
+        total_sweeps=int(sweeps.sum()),
+        capped_starts=int(np.sum(unfinished & ~abandoned)),
+        starts_at_best=int(np.sum((sweeps > 0) & ~abandoned & (np.abs(values - values[best]) <= 1e-9))),
+        converged=not unfinished[best],
+    )
 
 
 def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) -> ObjectiveResult:
@@ -388,13 +380,14 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
     angles (theta in [0, pi], chi in [0, 2 pi)).  The starts run on
     ``_ascend_batch`` in chunks of 2**18 // 2**n with the ceiling 1 - 5e-13,
     since no objective exceeds 1 beyond roundoff, and with ``_retract`` for
-    the extrapolation step.  ``total_sweeps`` adds up the sweeps of all
-    starts, abandoned ones included, not the step's objective evaluations;
-    ``capped_starts`` counts the starts that used all ``max_iterations``
-    sweeps without meeting the tolerance.  ``starts_at_best`` counts the
-    stopped starts within 1e-9 of the best value, not those abandoned at the
-    ceiling or in chunks that never ran; ``converged`` says that the best
-    start met the tolerance before the cap.
+    the extrapolation step.  The metadata is the driver's run record, built
+    there alike for the see-saw of ``bell.max_mk_mean``.  ``total_sweeps``
+    adds up the sweeps of all starts, abandoned ones included, not the
+    step's objective evaluations; ``capped_starts`` counts the starts that
+    used all ``max_iterations`` sweeps without meeting the tolerance.
+    ``starts_at_best`` counts the stopped starts within 1e-9 of the best
+    value, not those abandoned at the ceiling or in chunks that never ran;
+    ``converged`` says that the best start met the tolerance before the cap.
     """
     cfg = config if config is not None else OptimizerConfig()
     n = psi.n
@@ -410,24 +403,12 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
     rows = _rows(np.stack([np.cos(thetas / 2), np.exp(1j * chis) * np.sin(thetas / 2)], axis=-1))
     t = psi.tensor()
     chunk = max(1, _CHUNK_AMPLITUDES >> n)
-    values, sweeps, unfinished, best = _ascend_batch(
-        lambda r: _objective(t, r), lambda r: _sweep(t, r), (rows,), cfg, chunk, _CEILING,
-        lambda r: (_retract(r),))
-    abandoned = unfinished & (sweeps < cfg.max_iterations)  # a capped start ran all its sweeps
-
+    values, _, meta = _ascend_batch(
+        lambda r: _objective(t, r), lambda r: _sweep(t, r), _retract, rows, cfg, chunk, _CEILING)
     return ObjectiveResult(
-        unitary=LocalUnitary(factors=_phase_fixed(psi, tuple(rows[best]))),
-        value=float(values[best]),
-        metadata=OptimizerMetadata(
-            starts=starts,
-            iterations=int(sweeps[best]),
-            best_start=best,
-            identity_value=float(values[0]),
-            total_sweeps=int(sweeps.sum()),
-            capped_starts=int(np.sum(unfinished & ~abandoned)),
-            starts_at_best=int(np.sum((sweeps > 0) & ~abandoned & (np.abs(values - values[best]) <= 1e-9))),
-            converged=not unfinished[best],
-        ),
+        unitary=LocalUnitary(factors=_phase_fixed(psi, tuple(rows[meta.best_start]))),
+        value=float(values[meta.best_start]),
+        metadata=meta,
     )
 
 

@@ -213,14 +213,52 @@ def test_canonical_square_is_scaled_ghz_projector():
         assert np.max(np.abs(b @ b - 2 ** (n - 1) * projector)) < 1e-10
 
 
-def test_operator_norm_power_iteration_matches_dense():
-    # Above the dense cap the norm comes from power iteration on B^2; the
-    # canonical value is known exactly.
+def test_operator_norm_above_dense_cap_is_the_canonical_value():
+    # The closed form needs no dense matrix; the canonical value is known exactly.
     op = canonical_mk(11).bell
     assert op.n == 11
     assert op.operator_norm() == pytest.approx(2**5, rel=1e-9)
     with pytest.raises(ValueError, match="capped at 10 qubits"):
         op.dense()
+
+
+def drawn_settings(rng, n, draw):
+    """Random settings; on every third draw a'_1 = a_1 and on every fifth
+    a'_n = -a_n, so qubits with a_j x a'_j = 0 are covered."""
+    settings = random_settings(rng, n)
+    a_prime = settings.a_prime.copy()
+    if draw % 3 == 0:
+        a_prime[0] = settings.a[0]
+    if draw % 5 == 0:
+        a_prime[-1] = -settings.a[-1]
+    return MeasurementSettings(n=n, a=settings.a, a_prime=a_prime)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_operator_norm_matches_dense(n):
+    rng = np.random.default_rng(90 + n)
+    for draw in range(15):
+        op = mk_pair(drawn_settings(rng, n, draw)).bell
+        dense = float(np.max(np.abs(np.linalg.eigvalsh(op.dense()))))
+        assert op.operator_norm() == pytest.approx(dense, rel=1e-12, abs=1e-12), draw
+
+
+@pytest.mark.parametrize("n", [11, 16])
+def test_operator_norm_is_attained_above_dense_cap(n):
+    # B^2 is largest on the product of the top eigenvectors of the
+    # n_j . sigma, n_j = a_j x a'_j; checked matrix-free, without the formula,
+    # and no drawn vector does better.
+    rng = np.random.default_rng(100 + n)
+    for draw in range(2):
+        settings = drawn_settings(rng, n, draw)
+        op = mk_pair(settings).bell
+        v = np.ones(1)
+        for axis in np.cross(settings.a, settings.a_prime):
+            v = np.kron(v, np.linalg.eigh(obs(axis))[1][:, -1])
+        norm = op.operator_norm()
+        assert np.linalg.norm(op.apply(v)) == pytest.approx(norm, rel=1e-12)
+        w = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        assert np.linalg.norm(op.apply(w / np.linalg.norm(w))) <= norm * (1 + 1e-12)
 
 
 # --- GHZ-family states ---

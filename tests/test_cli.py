@@ -306,9 +306,9 @@ def test_mk_op_rejects_deeply_nested_json(tmp_path, capsys, text):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_mk_op_above_dense_cap_reports_power_iteration_norm(capsys):
+def test_mk_op_above_dense_cap_reports_closed_form_norm(capsys):
     # n = 11 exceeds DENSE_QUBIT_CAP, so the norm comes from
-    # MKOperator.operator_norm's power iteration and no spectrum is listed.
+    # MKOperator.operator_norm's closed form and no spectrum is listed.
     code, out, _ = run_cli(capsys, ["mk-op", "--canonical", "11"])
     assert code == 0
     data = json.loads(out)

@@ -295,8 +295,11 @@ def test_ascent_iterations_are_monotone():
             history.append(values[0])
             if history[-1] - history[-2] < VALUE_TOLERANCE:
                 break
-        values, sweeps, _, _ = _ascend_batch(
-            lambda rows: _objective(t, rows), lambda rows: _sweep(t, rows), (_rows(np.array([xis])),), cfg, 1)
+        # A zero candidate has value 0 and is never kept, so the driver must
+        # match the plain sweep loop exactly.
+        values, sweeps, _ = _ascend_batch(
+            lambda rows: _objective(t, rows), lambda rows: _sweep(t, rows), np.zeros_like, _rows(np.array([xis])),
+            cfg, 1)
         value = values[0]
         assert sweeps[0] == len(history) - 1
         assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
@@ -629,6 +632,52 @@ def test_basin_count_leaves_out_abandoned_and_unrun_starts():
     meta = maximize_objective(random_product_state(12, 22)).metadata
     assert 1 <= meta.starts_at_best <= 64
     assert meta.converged is True
+
+
+# --- the driver on a stub search ---
+
+
+def no_step(x):
+    raise AssertionError("a step was tried")
+
+
+def table_search(table):
+    """(evaluate, sweep, retract, params) of a stub search: a start's row
+    holds its index, its value is table[index] from the start on, so each
+    start stops after one sweep; the step is never tried."""
+    table = np.asarray(table)
+    def evaluate(x):
+        return table[x[:, 0]]
+
+    return evaluate, lambda x: (x.copy(), evaluate(x)), no_step, np.arange(len(table))[:, None]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4])
+def test_driver_keeps_the_lowest_index_among_values_within_1e12(chunk):
+    _, sweeps, meta = _ascend_batch(*table_search([0.5, 0.9, 0.9 + 5e-13, 0.9 + 2e-12]), OptimizerConfig(), chunk)
+    assert meta.best_start == 3
+    assert meta.starts_at_best == 3
+    assert meta.total_sweeps == 4 and list(sweeps) == [1, 1, 1, 1]
+    assert meta.converged is True and meta.capped_starts == 0
+    _, _, meta = _ascend_batch(*table_search([0.9, 0.9 + 5e-13]), OptimizerConfig(), chunk)
+    assert meta.best_start == 0
+
+
+def test_driver_skips_the_chunks_after_the_ceiling():
+    values, sweeps, meta = _ascend_batch(*table_search([0.2, 1.0, 0.3, 0.4]), OptimizerConfig(), 1, 0.99)
+    assert meta.best_start == 1
+    assert meta.total_sweeps == 2
+    assert list(sweeps) == [1, 1, 0, 0] and list(values) == [0.2, 1.0, 0.0, 0.0]
+    assert meta.starts == 4 and meta.starts_at_best == 1
+
+
+def test_driver_flags_every_start_that_gains_up_to_the_cap():
+    # Each sweep gains 1e-9, far above VALUE_TOLERANCE, so no start stops early.
+    _, sweeps, meta = _ascend_batch(lambda x: x[:, 0], lambda x: (x + 1e-9, x[:, 0] + 1e-9), no_step,
+                                    np.arange(3.0)[:, None], OptimizerConfig(max_iterations=3), 2)
+    assert list(sweeps) == [3, 3, 3]
+    assert meta.capped_starts == 3 and meta.total_sweeps == 9 and meta.iterations == 3
+    assert meta.best_start == 2 and meta.converged is False
 
 
 # --- proof conditions on the ceiling state ---

@@ -156,10 +156,9 @@ def test_batched_see_saw_matches_reference(kind, n, param, seed, iters):
     # Every start, through the batch that max_mk_mean runs.
     starts = list(_reference_starts(n, cfg))
     z = np.array([np.array(a) + 1j * np.array(ap) for a, ap in starts])
-    values, sweeps, unfinished, _ = _ascend_batch(
-        lambda d: _means(psi.amplitudes, d), lambda d: _sweep(psi.amplitudes, d), (z,), cfg, len(z),
-        retract=lambda d: (_retract(d),))
-    capped = int(unfinished.sum())
+    values, sweeps, meta = _ascend_batch(
+        lambda d: _means(psi.amplitudes, d), lambda d: _sweep(psi.amplitudes, d), _retract, z, cfg, len(z))
+    capped = meta.capped_starts
     exempt = SADDLE_STARTS.get(kind, set())
     for start, (_, _, ref_value, ref_sweeps, _) in enumerate(runs):
         if start not in exempt:
