@@ -1,6 +1,6 @@
 """Variance-based entanglement test for multiqubit pure states.
 
-Builds Mermin-Klyshko Bell operator pairs from measurement settings, solves
+Builds Mermin-Klyshko Bell operators from measurement settings, solves
 the quadratic overlap maximization over local unitaries, and tests the
 variance bound 2**(n-1) that separates product states (equality attainable)
 from entangled ones (strict inequality).  A purity-based oracle provides
@@ -11,14 +11,11 @@ from .bell import (
     MeasurementSettings,
     MKMeanResult,
     MKOperator,
-    MKOperatorPair,
     canonical_mk,
     canonical_settings,
     generalized_ghz,
     ghz,
     max_mk_mean,
-    mk_mean,
-    mk_pair,
 )
 from .criterion import (
     DECISION_TAU,
@@ -27,10 +24,8 @@ from .criterion import (
     ObjectiveResult,
     OptimizerConfig,
     OptimizerMetadata,
-    conjugated_variance,
     decide,
     maximize_objective,
-    phase_fix,
     variance,
 )
 from .linalg import (
@@ -57,7 +52,6 @@ __all__ = [
     "LocalUnitary",
     "MKMeanResult",
     "MKOperator",
-    "MKOperatorPair",
     "MeasurementSettings",
     "ObjectiveResult",
     "OptimizerConfig",
@@ -67,16 +61,12 @@ __all__ = [
     "apply_single_qubit",
     "canonical_mk",
     "canonical_settings",
-    "conjugated_variance",
     "decide",
     "generalized_ghz",
     "ghz",
     "is_product_oracle",
     "max_mk_mean",
     "maximize_objective",
-    "mk_mean",
-    "mk_pair",
-    "phase_fix",
     "random_product_state",
     "random_state",
     "reduced_density",

@@ -1,7 +1,7 @@
 """Mermin-Klyshko Bell operators, canonical settings, and GHZ-family states.
 
-The MK operator pair (B, B') of n qubits is defined recursively from two
-measurement directions per qubit:
+The MK operator B of n qubits is defined recursively, together with its
+partner B', from two measurement directions per qubit:
 
     B_1 = a_1 . sigma,    B'_1 = a'_1 . sigma
     B_k = B_{k-1} (x) (a_k + a'_k)/2 . sigma  +  B'_{k-1} (x) (a_k - a'_k)/2 . sigma
@@ -13,9 +13,10 @@ realism the mean value of B_n is bounded by 1, while its operator norm is
     B + i B' = M = c (x)_j O_j,    O_j = (a_j + i a'_j) . sigma,    c = ((1 - i)/2)**(n-1)
 
 (Belinskii & Klyshko 1993; Gisin & Bechmann-Pasquinucci 1998), which is the
-only representation of the pair used here.  A mean value <psi|B|psi> =
-Re <psi|M|psi> costs n single-qubit gates; mk_mean and the see-saw of
-max_mk_mean use it.  B = (M + M^dag)/2 is applied to a state vector
+only representation used here.  Only B is built: B' is B of the settings
+with every a_j and a'_j exchanged.  A mean value <psi|B|psi> =
+Re <psi|M|psi> costs n single-qubit gates; the see-saw of max_mk_mean
+uses it.  B = (M + M^dag)/2 is applied to a state vector
 matrix-free with 2n single-qubit gates (n for M, n for M^dag), so O(n 2^n);
 explicit matrices are only formed on demand for n <= DENSE_QUBIT_CAP.  The
 literal recursion lives in the tests as an independent reference.  Vectors
@@ -72,10 +73,6 @@ class MeasurementSettings:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def swapped(self) -> "MeasurementSettings":
-        """Settings with every a_j and a'_j exchanged."""
-        return MeasurementSettings(n=self.n, a=self.a_prime, a_prime=self.a)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -87,10 +84,15 @@ class MeasurementSettings:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MeasurementSettings":
+        if not isinstance(data, dict) or "n" not in data or "pairs" not in data:
+            raise ValueError("settings must be an object with 'n' and 'pairs'")
         n = qubit_count(data["n"])
         pairs = data["pairs"]
         if len(pairs) != n:
             raise ValueError(f"expected {n} pairs, got {len(pairs)}")
+        for j, pair in enumerate(pairs, start=1):
+            if not isinstance(pair, dict) or "a" not in pair or "a_prime" not in pair:
+                raise ValueError(f"pair {j} must be an object with 'a' and 'a_prime'")
         if has_bool(pairs):
             raise ValueError("directions must be numbers, not booleans")
         a = np.array([p["a"] for p in pairs], dtype=float)
@@ -173,30 +175,6 @@ class MKOperator:
         return f"MKOperator(n={self.n})"
 
 
-@dataclass(frozen=True)
-class MKOperatorPair:
-    """The pair (B, B') built from one set of measurement directions."""
-
-    n: int
-    bell: MKOperator
-    bell_swapped: MKOperator
-    settings: MeasurementSettings
-
-
-def mk_pair(settings: MeasurementSettings) -> MKOperatorPair:
-    """Construct the MK operator pair for the given settings.
-
-    B' is B of the swapped settings: exchanging every a_j and a'_j turns M
-    into i M^dag, whose Hermitian part (M - M^dag)/(2i) is B'.
-    """
-    return MKOperatorPair(
-        n=settings.n,
-        bell=MKOperator(settings),
-        bell_swapped=MKOperator(settings.swapped()),
-        settings=settings,
-    )
-
-
 def _planar(theta: float) -> np.ndarray:
     return np.array([math.cos(theta), math.sin(theta), 0.0])
 
@@ -249,12 +227,10 @@ def generalized_ghz(n: int, phi: float) -> PureState:
 
 
 @lru_cache(maxsize=None)
-def canonical_mk(n: int) -> MKOperatorPair:
-    """MK pair for the canonical settings, built once per n.
-
-    Its B is 2**((n-1)/2) (P+ - P-) for the GHZ projectors P+ and P-.
-    """
-    return mk_pair(canonical_settings(n))
+def canonical_mk(n: int) -> MKOperator:
+    """MK operator of the canonical settings, built once per n: 2**((n-1)/2)
+    (P+ - P-) for the GHZ projectors P+ and P-."""
+    return MKOperator(canonical_settings(n))
 
 
 def _means(t: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -264,13 +240,6 @@ def _means(t: np.ndarray, z: np.ndarray) -> np.ndarray:
     for j, gates in enumerate(_factors(z.transpose(1, 2, 0).copy())):
         image = _apply_factor(image, gates, j)
     return (_prefactor(z.shape[1]) * (t.conj()[:, None] * image).view(float).sum(0).view(complex)).real
-
-
-def mk_mean(psi: PureState, settings: MeasurementSettings) -> float:
-    """<psi|B|psi> for the MK operator built from the settings."""
-    if settings.n != psi.n:
-        raise ValueError(f"settings are for {settings.n} qubits but the state has {psi.n}")
-    return float(_means(psi.amplitudes, (settings.a + 1j * settings.a_prime)[None])[0])
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,12 @@ import numpy as np
 
 from .bell import (
     MeasurementSettings,
+    MKOperator,
     canonical_mk,
     canonical_settings,
     generalized_ghz,
     ghz,
     max_mk_mean,
-    mk_pair,
 )
 from .criterion import DECISION_TAU, OptimizerConfig, check_tau, decide, variance
 from .linalg import DENSE_QUBIT_CAP, MAX_QUBITS, PureState, has_bool, qubit_count
@@ -111,7 +111,7 @@ def _cmd_ghz_scan(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    op = canonical_mk(args.n).bell
+    op = canonical_mk(args.n)
     rows = []
     for phi in np.linspace(0.0, math.pi / 4, args.points):
         psi = generalized_ghz(args.n, float(phi))
@@ -134,27 +134,27 @@ def _cmd_ghz_scan(args) -> int:
 
 def _cmd_mk_op(args) -> int:
     try:
+        if (args.settings_file is None) == (args.canonical is None):
+            raise ValueError("provide exactly one of a settings file and --canonical n")
         if args.canonical is not None:
             if args.canonical < 2:
                 raise ValueError("--canonical requires n >= 2")
             settings = canonical_settings(args.canonical)
         else:
-            if args.settings_file is None:
-                raise ValueError("provide a settings file or --canonical n")
             with open(args.settings_file, "r", encoding="utf-8") as fh:
                 settings = MeasurementSettings.from_json_dict(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    pair = mk_pair(settings)
+    op = MKOperator(settings)
     out: dict = {
         "n": settings.n,
         "norm_bound": float(2 ** ((settings.n - 1) / 2)),
         "settings": settings.to_json_dict(),
     }
     if settings.n <= DENSE_QUBIT_CAP:
-        eigenvalues = np.linalg.eigvalsh(pair.bell.dense())
+        eigenvalues = np.linalg.eigvalsh(op.dense())
         out["eigenvalues"] = sorted((float(x) for x in eigenvalues), reverse=True)
         out["max_abs_eigenvalue"] = float(np.max(np.abs(eigenvalues)))
     else:
@@ -164,9 +164,9 @@ def _cmd_mk_op(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_INPUT_ERROR
-        out["max_abs_eigenvalue"] = pair.bell.operator_norm()
+        out["max_abs_eigenvalue"] = op.operator_norm()
     if args.dump_matrix:
-        out["matrix"] = [[[z.real, z.imag] for z in row] for row in pair.bell.dense()]
+        out["matrix"] = [[[z.real, z.imag] for z in row] for row in op.dense()]
     _emit(out, args.json_indent)
     return 0
 
@@ -176,10 +176,9 @@ def _selftest_spectral() -> tuple[int, int, list[str]]:
     total = 0
     for n in range(2, 7):
         total += 1
-        pair = canonical_mk(n)
         gp = ghz(n, +1)
         scale = 2 ** ((n - 1) / 2)
-        residual = float(np.linalg.norm(pair.bell.apply(gp.amplitudes) - scale * gp.amplitudes))
+        residual = float(np.linalg.norm(canonical_mk(n).apply(gp.amplitudes) - scale * gp.amplitudes))
         if residual >= 1e-10 * scale:
             failures.append(f"spectral n={n}: residual {residual:.3e}")
     return total - len(failures), total, failures
@@ -199,7 +198,7 @@ def _selftest_norm_bound(seed: int) -> tuple[int, int, list[str]]:
         for _ in range(10):
             total += 1
             settings = _random_settings(rng, n)
-            top = float(np.max(np.abs(np.linalg.eigvalsh(mk_pair(settings).bell.dense()))))
+            top = float(np.max(np.abs(np.linalg.eigvalsh(MKOperator(settings).dense()))))
             if top > 2 ** ((n - 1) / 2) + 1e-9:
                 failures.append(f"norm-bound n={n}: {top!r}")
     return total - len(failures), total, failures
@@ -214,10 +213,8 @@ def _selftest_matrix_free(seed: int) -> tuple[int, int, list[str]]:
             total += 1
             settings = _random_settings(rng, n)
             psi = random_state(n, int(rng.integers(2**31)))
-            pair = mk_pair(settings)
-            diff = float(
-                np.max(np.abs(pair.bell.apply(psi.amplitudes) - pair.bell.dense() @ psi.amplitudes))
-            )
+            op = MKOperator(settings)
+            diff = float(np.max(np.abs(op.apply(psi.amplitudes) - op.dense() @ psi.amplitudes)))
             if diff >= 1e-12:
                 failures.append(f"matrix-free n={n}: diff {diff:.3e}")
     return total - len(failures), total, failures

@@ -20,9 +20,10 @@ with the rows already updated, so it costs O(S 2**n) for S starts.
 ``_ascend_batch`` drives this search and the MK mean see-saw of
 ``bell.max_mk_mean`` alike: it runs the starts in chunks that bound the
 working memory at large n, stops each start by its gain alone, keeps the
-lowest-index best and builds the run record of either search.  Here a chunk holds 2**18 // 2**n starts, and the search
-ends early, with the same result, once the best of the stopped starts
-reaches the objective's ceiling 1: no later start can beat it.
+lowest-index best and builds the run record of either search.  Here a
+chunk holds 2**18 // 2**n starts, and the search ends early, with the same
+result, once the best of the stopped starts reaches the objective's
+ceiling 1: no later start can beat it.
 
 With canonical settings the MK operator is 2**((n-1)/2) (|0..0><1..1| +
 h.c.), so its variance on U psi follows from the two end overlaps alone.
@@ -35,7 +36,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bell import canonical_mk
+# Unused here, but perfbench/spans.py rebinds criterion.canonical_mk.
+from .bell import canonical_mk  # noqa: F401
 from .linalg import PureState, _is_integer, apply_single_qubit
 
 DECISION_TAU = 1e-6
@@ -89,16 +91,6 @@ class LocalUnitary:
             u.setflags(write=False)
             frozen.append(u)
         object.__setattr__(self, "factors", tuple(frozen))
-
-    @property
-    def n(self) -> int:
-        return len(self.factors)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        out = np.asarray(vec, dtype=complex)
-        for j, u in enumerate(self.factors, start=1):
-            out = apply_single_qubit(out, self.n, j, u)
-        return out
 
 
 @dataclass(frozen=True)
@@ -161,18 +153,6 @@ def variance(psi: PureState, op) -> float:
     return max(value, 0.0)
 
 
-def conjugated_variance(psi: PureState, unitary: LocalUnitary) -> float:
-    """Variance of the conjugated canonical operator, evaluated covariantly.
-
-    Delta(psi, U^dag B U) equals Delta(U psi, B), so B is never conjugated
-    explicitly.
-    """
-    if unitary.n != psi.n:
-        raise ValueError(f"unitary acts on {unitary.n} qubits but the state has {psi.n}")
-    rotated = PureState(unitary.apply(psi.amplitudes))
-    return variance(rotated, canonical_mk(psi.n).bell)
-
-
 def _end_overlaps(psi: PureState, factors: tuple) -> tuple[complex, complex]:
     rotated = psi.amplitudes
     for j, u in enumerate(factors, start=1):
@@ -181,7 +161,10 @@ def _end_overlaps(psi: PureState, factors: tuple) -> tuple[complex, complex]:
 
 
 def _phase_fixed(psi: PureState, factors: tuple) -> tuple:
-    """The factors of ``phase_fix``, or ``factors`` itself if no phase moves."""
+    """The factors with a diagonal phase gate left-multiplied on qubit 1, so
+    that both end overlaps become real and nonnegative; the moduli, and so the
+    objective, are unchanged.  Zero overlaps are left alone, and ``factors``
+    itself is returned if no phase moves."""
     a, b = _end_overlaps(psi, factors)
     phase_a = -np.angle(a) if abs(a) > 0 else 0.0
     phase_b = -np.angle(b) if abs(b) > 0 else 0.0
@@ -189,14 +172,6 @@ def _phase_fixed(psi: PureState, factors: tuple) -> tuple:
         return factors
     gate = np.diag([np.exp(1j * phase_a), np.exp(1j * phase_b)])
     return (gate @ factors[0],) + factors[1:]
-
-
-def phase_fix(psi: PureState, unitary: LocalUnitary) -> LocalUnitary:
-    """Left-multiply by a diagonal phase gate on qubit 1 so both end overlaps
-    become real and nonnegative; moduli (and the objective) are unchanged.
-    Zero overlaps are left alone."""
-    factors = _phase_fixed(psi, unitary.factors)
-    return unitary if factors is unitary.factors else LocalUnitary(factors=factors)
 
 
 # ---------------------------------------------------------------------------

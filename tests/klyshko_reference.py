@@ -1,22 +1,24 @@
 """The literal Klyshko recursion, kept as an independent reference.
 
-The library builds the MK pair only from its product form
+The library builds the MK operator B only from the product form
 B + i B' = ((1 - i)/2)**(n-1) (x)_j (a_j + i a'_j).sigma.  The functions
-here build it the long way instead, from
+here build the pair (B, B') the long way instead, from
 
     B_1 = a_1 . sigma,    B'_1 = a'_1 . sigma
     B_k = B_{k-1} (x) (a_k + a'_k)/2 . sigma  +  B'_{k-1} (x) (a_k - a'_k)/2 . sigma
     B'_k = B'_{k-1} (x) (a_k + a'_k)/2 . sigma  -  B_{k-1} (x) (a_k - a'_k)/2 . sigma
 
 as dense matrices, matrix-free on a vector, and on the corner entries
-<0..0|B|1..1> that fix the canonical azimuthal offset.
+<0..0|B|1..1> that fix the canonical azimuthal offset.  ``mk_pair`` gives
+the product form's pair, with B' built as B of the ``swapped`` settings.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from mkvariance import MeasurementSettings
+from mkvariance import MeasurementSettings, MKOperator
 from mkvariance.linalg import PAULI_X, PAULI_Y, PAULI_Z, apply_single_qubit
 
 
@@ -24,6 +26,22 @@ def pauli_combination(v) -> np.ndarray:
     """v.sigma for an arbitrary (not necessarily unit) real 3-vector."""
     v = np.asarray(v, dtype=float).reshape(3)
     return v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
+
+
+def swapped(settings: MeasurementSettings) -> MeasurementSettings:
+    """The settings with every a_j and a'_j exchanged."""
+    return MeasurementSettings(n=settings.n, a=settings.a_prime, a_prime=settings.a)
+
+
+class MKPair(NamedTuple):
+    bell: MKOperator
+    bell_swapped: MKOperator
+
+
+def mk_pair(settings: MeasurementSettings) -> MKPair:
+    """(B, B') by the product form: exchanging every a_j and a'_j turns M into
+    i M^dag, whose Hermitian part (M - M^dag)/(2i) is B'."""
+    return MKPair(MKOperator(settings), MKOperator(swapped(settings)))
 
 
 def dense_pair(settings: MeasurementSettings) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,6 @@
-"""Fixtures for the overlap objective: its value at a given local unitary,
-the identity local unitary, and the local unitary that sends a known
-product state to |0...0>.
+"""Fixtures for the overlap objective: a local unitary applied to a state,
+the objective's value at it, the identity local unitary, and the local
+unitary that sends a known product state to |0...0>.
 
 The library only maximizes the objective; these build a known U and
 evaluate it, so tests can check the search and the variance against them.
@@ -9,12 +9,21 @@ evaluate it, so tests can check the search and the variance against them.
 import numpy as np
 
 from mkvariance import LocalUnitary, PureState
+from mkvariance.linalg import apply_single_qubit
+
+
+def rotate(psi: PureState, unitary: LocalUnitary) -> np.ndarray:
+    """The amplitudes of U psi, one factor at a time."""
+    out = psi.amplitudes
+    for j, u in enumerate(unitary.factors, start=1):
+        out = apply_single_qubit(out, psi.n, j, u)
+    return out
 
 
 def objective(psi: PureState, unitary: LocalUnitary) -> float:
     """|<0..0|U psi>|^2 + |<1..1|U psi>|^2, the modulus form of the quadratic
     objective; equals the constrained form once the overlaps are phase-fixed."""
-    rotated = unitary.apply(psi.amplitudes)
+    rotated = rotate(psi, unitary)
     return abs(complex(rotated[0])) ** 2 + abs(complex(rotated[-1])) ** 2
 
 

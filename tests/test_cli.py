@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from mkvariance import PureState, cli, generalized_ghz, random_state
+from mkvariance import PureState, canonical_settings, cli, generalized_ghz, random_state
 from mkvariance.cli import load_state_file, main, write_state_file
+
+from klyshko_reference import dense_pair, swapped
 
 
 def run_cli(capsys, argv):
@@ -236,8 +238,6 @@ def test_mk_op_canonical_four_qubits_extremes(capsys):
 
 
 def test_mk_op_reads_settings_file_and_swapped_roundtrip(tmp_path, capsys):
-    from mkvariance import canonical_settings, mk_pair
-
     settings = canonical_settings(3)
     path = tmp_path / "settings.json"
     path.write_text(json.dumps(settings.to_json_dict()))
@@ -245,17 +245,18 @@ def test_mk_op_reads_settings_file_and_swapped_roundtrip(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     matrix = np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
-    # The dumped matrix rebuilt from swapped settings reproduces B'.
+    # The dumped matrix rebuilt from swapped settings reproduces the
+    # literal recursion's B'.
     swapped_path = tmp_path / "swapped.json"
-    swapped_path.write_text(json.dumps(settings.swapped().to_json_dict()))
+    swapped_path.write_text(json.dumps(swapped(settings).to_json_dict()))
     code2, out2, _ = run_cli(capsys, ["mk-op", str(swapped_path), "--dump-matrix"])
     assert code2 == 0
     swapped_matrix = np.array(
         [[complex(re, im) for re, im in row] for row in json.loads(out2)["matrix"]]
     )
-    expected = mk_pair(settings).bell_swapped.dense()
-    assert np.max(np.abs(swapped_matrix - expected)) < 1e-12
-    assert np.max(np.abs(matrix - mk_pair(settings).bell.dense())) < 1e-12
+    b, b_prime = dense_pair(settings)
+    assert np.max(np.abs(swapped_matrix - b_prime)) < 1e-12
+    assert np.max(np.abs(matrix - b)) < 1e-12
 
 
 def test_mk_op_rejects_nan_direction(tmp_path, capsys):
@@ -327,6 +328,36 @@ def test_mk_op_requires_input(capsys):
     code, _, err = run_cli(capsys, ["mk-op"])
     assert code == 2
     assert "settings" in err or "canonical" in err
+
+
+def test_mk_op_rejects_settings_file_and_canonical(tmp_path, capsys):
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(canonical_settings(3).to_json_dict()))
+    code, out, err = run_cli(capsys, ["mk-op", str(path), "--canonical", "2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "exactly one" in err
+
+
+PAIR = {"a": [0.0, 0.0, 1.0], "a_prime": [1.0, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize("data, word", [
+    ([2, [PAIR, PAIR]], "'n' and 'pairs'"),
+    ({"pairs": [PAIR, PAIR]}, "'n' and 'pairs'"),
+    ({"n": 2}, "'n' and 'pairs'"),
+    ({"n": 2, "pairs": [PAIR, [[0, 0, 1], [1, 0, 0]]]}, "pair 2 must be an object"),
+    ({"n": 2, "pairs": [PAIR, {"a": [0, 0, 1]}]}, "pair 2 must be an object with 'a' and 'a_prime'"),
+], ids=["top-level-list", "no-n", "no-pairs", "pair-list", "no-a-prime"])
+def test_mk_op_names_the_missing_part_of_a_settings_file(tmp_path, capsys, data, word):
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, ["mk-op", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert word in err
 
 
 # --- selftest ---

@@ -19,23 +19,21 @@ from mkvariance import (
     OptimizerConfig,
     PureState,
     canonical_mk,
-    conjugated_variance,
     decide,
     generalized_ghz,
     ghz,
     is_product_oracle,
     max_mk_mean,
     maximize_objective,
-    phase_fix,
     random_product_state,
     random_state,
     variance,
 )
 from mkvariance import criterion
-from mkvariance.criterion import VALUE_TOLERANCE, _ascend_batch, _objective, _rows, _sweep
+from mkvariance.criterion import VALUE_TOLERANCE, _ascend_batch, _objective, _phase_fixed, _rows, _sweep
 from mkvariance.oracle import random_product_factors
 
-from overlap_reference import identity_unitary, localize_product, objective
+from overlap_reference import identity_unitary, localize_product, objective, rotate
 
 
 def haar_factor(rng):
@@ -54,6 +52,11 @@ def dense_matrix(unitary):
     return functools.reduce(np.kron, unitary.factors, np.eye(1, dtype=complex))
 
 
+def conjugated_variance(psi, unitary):
+    """Delta(psi, U^dag B U) of the canonical B, evaluated covariantly as Delta(U psi, B)."""
+    return variance(PureState(rotate(psi, unitary)), canonical_mk(psi.n))
+
+
 def product_from_factors(factors):
     amps = np.array([1.0 + 0.0j])
     for f in factors:
@@ -66,19 +69,19 @@ def product_from_factors(factors):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_variance_ceiling_on_all_zero_state(n):
-    value = variance(PureState.basis(n, 0), canonical_mk(n).bell)
+    value = variance(PureState.basis(n, 0), canonical_mk(n))
     assert value == pytest.approx(2 ** (n - 1), abs=1e-10)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_variance_vanishes_on_ghz(n):
-    assert variance(ghz(n), canonical_mk(n).bell) < 1e-10
+    assert variance(ghz(n), canonical_mk(n)) < 1e-10
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("phi", [0.0, math.pi / 12, math.pi / 8, math.pi / 6, math.pi / 4])
 def test_variance_generalized_ghz_closed_form(n, phi):
-    value = variance(generalized_ghz(n, phi), canonical_mk(n).bell)
+    value = variance(generalized_ghz(n, phi), canonical_mk(n))
     assert value == pytest.approx(2 ** (n - 1) * math.cos(2 * phi) ** 2, abs=1e-9)
 
 
@@ -103,7 +106,7 @@ def test_variance_rejects_non_hermitian():
 
 def test_variance_arity_mismatch():
     with pytest.raises(ValueError, match="qubits"):
-        variance(ghz(3), canonical_mk(2).bell)
+        variance(ghz(3), canonical_mk(2))
 
 
 # --- conjugated variance ---
@@ -131,7 +134,7 @@ def test_conjugated_variance_matches_dense_conjugation():
     for n in (2, 3, 4, 5, 6):
         unitary = random_local_unitary(rng, n)
         psi = random_state(n, int(rng.integers(2**31)))
-        b = canonical_mk(n).bell.dense()
+        b = canonical_mk(n).dense()
         u = dense_matrix(unitary)
         conjugated = u.conj().T @ b @ u
         mean = np.vdot(psi.amplitudes, conjugated @ psi.amplitudes).real
@@ -170,8 +173,8 @@ def test_objective_bounded_by_one():
 
 def test_phase_fix_leaves_nonnegative_overlaps_alone():
     psi = generalized_ghz(3, 0.4)
-    unitary = identity_unitary(3)
-    assert phase_fix(psi, unitary) is unitary
+    factors = identity_unitary(3).factors
+    assert _phase_fixed(psi, factors) is factors
 
 
 def test_phase_fix_rotates_overlaps_nonnegative():
@@ -182,8 +185,8 @@ def test_phase_fix_rotates_overlaps_nonnegative():
     amps[-1] = 0.8j
     psi = PureState(amps)
     identity = identity_unitary(3)
-    fixed = phase_fix(psi, identity)
-    rotated = fixed.apply(psi.amplitudes)
+    fixed = LocalUnitary(factors=_phase_fixed(psi, identity.factors))
+    rotated = rotate(psi, fixed)
     assert rotated[0] == pytest.approx(0.6, abs=1e-14)
     assert rotated[-1] == pytest.approx(0.8, abs=1e-14)
     assert abs(rotated[0].imag) < 1e-14 and abs(rotated[-1].imag) < 1e-14
@@ -196,9 +199,9 @@ def test_phase_fix_preserves_objective():
     for _ in range(10):
         psi = random_state(3, int(rng.integers(2**31)))
         unitary = random_local_unitary(rng, 3)
-        fixed = phase_fix(psi, unitary)
+        fixed = LocalUnitary(factors=_phase_fixed(psi, unitary.factors))
         assert objective(psi, fixed) == pytest.approx(objective(psi, unitary), abs=1e-14)
-        rotated = fixed.apply(psi.amplitudes)
+        rotated = rotate(psi, fixed)
         assert rotated[0].real >= -1e-12 and abs(rotated[0].imag) < 1e-12
         assert rotated[-1].real >= -1e-12 and abs(rotated[-1].imag) < 1e-12
 
@@ -361,7 +364,7 @@ def test_maximize_objective_singlet_grid_cross_check():
     assert result.value == pytest.approx(1.0, abs=1e-9)
     assert grid_max == pytest.approx(result.value, abs=1e-3)
     # The maximizer concentrates all weight on the end components.
-    rotated = result.unitary.apply(singlet.amplitudes)
+    rotated = rotate(singlet, result.unitary)
     assert abs(rotated[1]) ** 2 + abs(rotated[2]) ** 2 < 1e-9
 
 
@@ -685,7 +688,7 @@ def test_driver_flags_every_start_that_gains_up_to_the_cap():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_ceiling_state_proof_conditions(n):
-    op = canonical_mk(n).bell
+    op = canonical_mk(n)
     zero = PureState.basis(n, 0)
     twice = op.apply(op.apply(zero.amplitudes))
     assert np.linalg.norm(twice - 2 ** (n - 1) * zero.amplitudes) < 1e-9

@@ -89,7 +89,7 @@ def test_apply_canonical_b3_on_ghz():
     # The canonical three-qubit operator has GHZ+ as its top eigenvector
     # with eigenvalue 2**((3-1)/2) = 2.
     psi = ghz(3, +1)
-    out = canonical_mk(3).bell.apply(psi.amplitudes)
+    out = canonical_mk(3).apply(psi.amplitudes)
     np.testing.assert_allclose(out, 2.0 * psi.amplitudes, atol=1e-12)
 
 
@@ -97,7 +97,7 @@ def test_matrix_free_apply_equals_dense_for_canonical():
     # n = 9, 10 exercise the dense path right up to the cap.
     rng = np.random.default_rng(5)
     for n in (2, 3, 4, 5, 6, 9, 10):
-        op = canonical_mk(n).bell
+        op = canonical_mk(n)
         dense = op.dense()
         v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         psi = PureState(v / np.linalg.norm(v))

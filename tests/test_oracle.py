@@ -16,7 +16,7 @@ from mkvariance import (
 )
 from mkvariance.oracle import random_product_factors
 
-from overlap_reference import localize_product, objective
+from overlap_reference import localize_product, objective, rotate
 
 
 def purity_oracle(amps, n, qubit):
@@ -81,7 +81,7 @@ def test_purities_invariant_under_local_unitaries():
             z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             q, r = np.linalg.qr(z)
             factors.append(q * (np.diag(r) / np.abs(np.diag(r))))
-        rotated = PureState(LocalUnitary(factors=tuple(factors)).apply(psi.amplitudes))
+        rotated = PureState(rotate(psi, LocalUnitary(factors=tuple(factors))))
         after = is_product_oracle(rotated).per_qubit_purities
         np.testing.assert_allclose(after, before, atol=1e-10)
 

@@ -10,11 +10,12 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mkvariance import DECISION_TAU, LocalUnitary, MeasurementSettings, OptimizerConfig, PureState, decide, mk_pair, random_state
+from mkvariance import DECISION_TAU, LocalUnitary, MeasurementSettings, OptimizerConfig, PureState, decide, random_state
 from mkvariance import bell, criterion
 from mkvariance.criterion import _objective, _rows, _sweep
 
-from klyshko_reference import dense_pair
+from klyshko_reference import dense_pair, mk_pair
+from overlap_reference import rotate
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -217,6 +218,6 @@ def test_verdict_ignores_a_local_unitary_on_haar_states(n, seed, data):
         [np.exp(0.5j * (a - c)) * np.sin(b / 2), np.exp(0.5j * (a + c)) * np.cos(b / 2)],
     ]).transpose(2, 0, 1)
     report = decide(psi)
-    other = decide(PureState(LocalUnitary(factors=tuple(factors)).apply(psi.amplitudes)))
+    other = decide(PureState(rotate(psi, LocalUnitary(factors=tuple(factors)))))
     assert other.verdict == report.verdict
     assert abs(other.objective_value - report.objective_value) < 1e-9
