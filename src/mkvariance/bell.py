@@ -39,7 +39,7 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     PureState,
-    has_bool,
+    _number_rows,
     qubit_count,
 )
 
@@ -88,15 +88,14 @@ class MeasurementSettings:
             raise ValueError("settings must be an object with 'n' and 'pairs'")
         n = qubit_count(data["n"])
         pairs = data["pairs"]
-        if len(pairs) != n:
-            raise ValueError(f"expected {n} pairs, got {len(pairs)}")
+        if not isinstance(pairs, list) or len(pairs) != n:
+            got = len(pairs) if isinstance(pairs, list) else type(pairs).__name__
+            raise ValueError(f"expected a list of {n} pairs, got {got}")
         for j, pair in enumerate(pairs, start=1):
             if not isinstance(pair, dict) or "a" not in pair or "a_prime" not in pair:
                 raise ValueError(f"pair {j} must be an object with 'a' and 'a_prime'")
-        if has_bool(pairs):
-            raise ValueError("directions must be numbers, not booleans")
-        a = np.array([p["a"] for p in pairs], dtype=float)
-        ap = np.array([p["a_prime"] for p in pairs], dtype=float)
+        a = _number_rows([p["a"] for p in pairs], n, 3, "'a' of pair")
+        ap = _number_rows([p["a_prime"] for p in pairs], n, 3, "'a_prime' of pair")
         return cls(n=n, a=a, a_prime=ap)
 
 

@@ -43,12 +43,19 @@ def qubit_count(value) -> int:
     return int(value)
 
 
-def has_bool(value) -> bool:
-    """Whether parsed JSON holds a boolean anywhere, which Python would take
-    for the number 0 or 1."""
-    if isinstance(value, dict):
-        value = list(value.values())
-    return isinstance(value, bool) or (isinstance(value, list) and any(map(has_bool, value)))
+def _number_rows(raw, count: int, width: int, what: str) -> np.ndarray:
+    """Parsed JSON that must be a list of ``count`` lists of ``width`` numbers,
+    as a (count, width) float array.  Booleans, which Python would take for 0
+    and 1, are refused.  The ValueError names the bad entry."""
+    if not isinstance(raw, list) or len(raw) != count:
+        got = len(raw) if isinstance(raw, list) else type(raw).__name__
+        raise ValueError(f"expected a list of {count} {what}s, got {got}")
+    for i, row in enumerate(raw, start=1):
+        if not (isinstance(row, list) and len(row) == width
+                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)):
+            booleans = ", not booleans" if isinstance(row, list) and bool in map(type, row) else ""
+            raise ValueError(f"{what} {i} must be a list of {width} numbers{booleans}")
+    return np.array(raw, dtype=float)
 
 
 def apply_single_qubit(vec: np.ndarray, n: int, qubit: int, mat: np.ndarray) -> np.ndarray:

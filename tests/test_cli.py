@@ -111,8 +111,9 @@ def test_decide_rejects_non_float_amplitudes(tmp_path, capsys, first, zero, word
     assert word in err
 
 
-# Nesting past the recursion limit raises RecursionError: 100000 levels in
-# json.load, 900 levels in the boolean check after it.
+# Nesting past the recursion limit makes json.load raise RecursionError (DEEP,
+# 100000 levels).  NESTED, 900 levels, loads, and the reader then finds a list
+# where a number or a pair belongs.
 DEEP = "[" * 100000 + "]" * 100000
 NESTED = "[" * 900 + "0" + "]" * 900
 
@@ -129,6 +130,22 @@ def test_decide_rejects_deeply_nested_json(tmp_path, capsys, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("amplitudes, word", [
+    (3, "expected a list of 2 amplitudes, got int"),
+    ([[1, 0], 5], "amplitude 2 must be a list of 2 numbers"),
+    ([[1, 0, 0], [0, 0]], "amplitude 1 must be a list of 2 numbers"),
+    ([["a", 0], [0, 0]], "amplitude 1 must be a list of 2 numbers"),
+], ids=["not-a-list", "not-a-pair", "three-parts", "string"])
+def test_decide_names_the_malformed_part_of_a_state_file(tmp_path, capsys, amplitudes, word):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"n": 1, "amplitudes": amplitudes}))
+    code, out, err = run_cli(capsys, ["decide", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert word in err
 
 
 def test_load_state_file_rejects_non_integer_n(tmp_path):
@@ -349,7 +366,9 @@ PAIR = {"a": [0.0, 0.0, 1.0], "a_prime": [1.0, 0.0, 0.0]}
     ({"n": 2}, "'n' and 'pairs'"),
     ({"n": 2, "pairs": [PAIR, [[0, 0, 1], [1, 0, 0]]]}, "pair 2 must be an object"),
     ({"n": 2, "pairs": [PAIR, {"a": [0, 0, 1]}]}, "pair 2 must be an object with 'a' and 'a_prime'"),
-], ids=["top-level-list", "no-n", "no-pairs", "pair-list", "no-a-prime"])
+    ({"n": 2, "pairs": 3}, "expected a list of 2 pairs, got int"),
+    ({"n": 2, "pairs": [PAIR, {"a": 3, "a_prime": [1, 0, 0]}]}, "'a' of pair 2 must be a list of 3 numbers"),
+], ids=["top-level-list", "no-n", "no-pairs", "pair-list", "no-a-prime", "pairs-not-a-list", "a-not-a-list"])
 def test_mk_op_names_the_missing_part_of_a_settings_file(tmp_path, capsys, data, word):
     path = tmp_path / "settings.json"
     path.write_text(json.dumps(data))
@@ -366,9 +385,13 @@ def test_mk_op_names_the_missing_part_of_a_settings_file(tmp_path, capsys, data,
 def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, ["selftest", "--states", "3"])
     assert code == 0
-    assert "selftest: PASS" in out
-    for suite in ("spectral", "norm-bound", "matrix-free", "oracle-agreement"):
-        assert suite in out
+    assert out.splitlines() == [
+        "spectral: 5/5 passed",
+        "norm-bound: 30/30 passed",
+        "matrix-free: 20/20 passed",
+        "oracle-agreement: 12/12 passed",
+        "selftest: PASS",
+    ]
 
 
 def test_selftest_rejects_negative_seed(capsys):
