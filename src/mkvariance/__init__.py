@@ -32,7 +32,6 @@ from .linalg import (
     DENSE_QUBIT_CAP,
     MAX_QUBITS,
     PureState,
-    apply_single_qubit,
     reduced_density,
 )
 from .oracle import (
@@ -58,7 +57,6 @@ __all__ = [
     "OptimizerMetadata",
     "OracleVerdict",
     "PureState",
-    "apply_single_qubit",
     "canonical_mk",
     "canonical_settings",
     "decide",

@@ -126,7 +126,7 @@ class MKOperator:
     ``dense`` materializes the matrix for n <= DENSE_QUBIT_CAP.
     """
 
-    __slots__ = ("n", "settings", "_gates", "_dense_cache")
+    __slots__ = ("n", "settings", "_gates")
 
     def __init__(self, settings: MeasurementSettings) -> None:
         self.n = settings.n
@@ -134,7 +134,6 @@ class MKOperator:
         # The factors of M and of M^dag: O_j^dag = (a_j - i a'_j).sigma.
         z = (settings.a + 1j * settings.a_prime)[..., None]
         self._gates = _factors(np.stack([z, z.conj()]))
-        self._dense_cache: np.ndarray | None = None
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         images = np.broadcast_to(np.asarray(vec, dtype=complex)[:, None], (2, 2**self.n, 1))
@@ -144,17 +143,13 @@ class MKOperator:
         return (c * images[0, :, 0] + c.conjugate() * images[1, :, 0]) / 2
 
     def dense(self) -> np.ndarray:
-        if self._dense_cache is None:
-            if self.n > DENSE_QUBIT_CAP:
-                raise ValueError(f"dense MK matrices are capped at {DENSE_QUBIT_CAP} qubits")
-            m = np.eye(1, dtype=complex)
-            for factor in self._gates[0, ..., 0]:
-                m = np.kron(m, factor)
-            m = _prefactor(self.n) * m
-            mat = (m + m.conj().T) / 2
-            mat.setflags(write=False)
-            self._dense_cache = mat
-        return self._dense_cache
+        if self.n > DENSE_QUBIT_CAP:
+            raise ValueError(f"dense MK matrices are capped at {DENSE_QUBIT_CAP} qubits")
+        m = np.eye(1, dtype=complex)
+        for factor in self._gates[0, ..., 0]:
+            m = np.kron(m, factor)
+        m = _prefactor(self.n) * m
+        return (m + m.conj().T) / 2
 
     def operator_norm(self) -> float:
         """Largest |eigenvalue|, in closed form from the product form.

@@ -153,13 +153,14 @@ def _run_mk_op(args, settings: MeasurementSettings) -> int:
         "settings": settings.to_json_dict(),
     }
     if settings.n <= DENSE_QUBIT_CAP:
-        eigenvalues = np.linalg.eigvalsh(op.dense())
+        matrix = op.dense()
+        eigenvalues = np.linalg.eigvalsh(matrix)
         out["eigenvalues"] = sorted((float(x) for x in eigenvalues), reverse=True)
         out["max_abs_eigenvalue"] = float(np.max(np.abs(eigenvalues)))
     else:
         out["max_abs_eigenvalue"] = op.operator_norm()
     if args.dump_matrix:
-        out["matrix"] = [[[z.real, z.imag] for z in row] for row in op.dense()]
+        out["matrix"] = [[[z.real, z.imag] for z in row] for row in matrix]
     _emit(out, args.json_indent)
     return 0
 

@@ -11,7 +11,9 @@ objective restricted to one qubit is A + B cos(theta) + C sin(theta) cos(chi
 ascent over these exact updates, with an extrapolation step after sweeps 11,
 13, 15, ... that is kept only where it raises the value, is therefore
 monotone and deterministic given the seed.  Residual overlap phases are
-removed afterwards by a diagonal phase gate on qubit 1.
+removed afterwards by a diagonal phase gate on qubit 1.  The search, the
+phase fix and the verdict all read the end overlaps from one contraction,
+``_overlaps``, of psi with the rows of U.
 
 All starts ascend together as one batch, which holds each factor U_j as its
 rows and updates them in place.  A sweep builds the Kronecker products of the
@@ -38,7 +40,7 @@ import numpy as np
 
 # Unused here, but perfbench/spans.py rebinds criterion.canonical_mk.
 from .bell import canonical_mk  # noqa: F401
-from .linalg import PureState, _is_integer, apply_single_qubit
+from .linalg import PureState, _is_integer
 
 DECISION_TAU = 1e-6
 UNITARY_TOL = 1e-10
@@ -153,27 +155,6 @@ def variance(psi: PureState, op) -> float:
     return max(value, 0.0)
 
 
-def _end_overlaps(psi: PureState, factors: tuple) -> tuple[complex, complex]:
-    rotated = psi.amplitudes
-    for j, u in enumerate(factors, start=1):
-        rotated = apply_single_qubit(rotated, psi.n, j, u)
-    return complex(rotated[0]), complex(rotated[-1])
-
-
-def _phase_fixed(psi: PureState, factors: tuple) -> tuple:
-    """The factors with a diagonal phase gate left-multiplied on qubit 1, so
-    that both end overlaps become real and nonnegative; the moduli, and so the
-    objective, are unchanged.  Zero overlaps are left alone, and ``factors``
-    itself is returned if no phase moves."""
-    a, b = _end_overlaps(psi, factors)
-    phase_a = -np.angle(a) if abs(a) > 0 else 0.0
-    phase_b = -np.angle(b) if abs(b) > 0 else 0.0
-    if phase_a == 0.0 and phase_b == 0.0:
-        return factors
-    gate = np.diag([np.exp(1j * phase_a), np.exp(1j * phase_b)])
-    return (gate @ factors[0],) + factors[1:]
-
-
 # ---------------------------------------------------------------------------
 # Block-coordinate ascent over the 2n angles, all starts at once.
 #
@@ -206,12 +187,29 @@ def _retract(rows: np.ndarray) -> np.ndarray:
     return rows / np.sqrt(np.add.reduce((row * row.conj()).real, axis=-1))[..., None]
 
 
-def _objective(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """|<0..0|U psi>|^2 + |<1..1|U psi>|^2 for each start of the batch."""
+def _overlaps(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """<0..0|U psi> and <1..1|U psi> for each start of the batch, shape (S, 2)."""
     left = t.reshape(1, 1, -1)
     for r in rows.swapaxes(0, 1):
         left = (r[:, :, None, :] @ left.reshape(left.shape[0], left.shape[1], 2, -1))[:, :, 0, :]
-    return np.sum(np.abs(left[:, :, 0]) ** 2, axis=1)
+    return left[:, :, 0]
+
+
+def _objective(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """|<0..0|U psi>|^2 + |<1..1|U psi>|^2 for each start of the batch."""
+    return np.sum(np.abs(_overlaps(t, rows)) ** 2, axis=1)
+
+
+def _phase_fixed(t: np.ndarray, rows: np.ndarray) -> tuple:
+    """The factors ``rows`` of one start with a diagonal phase gate
+    left-multiplied on qubit 1, so that both end overlaps become real and
+    nonnegative; the moduli, and so the objective, are unchanged.  A zero
+    overlap keeps its phase."""
+    a, b = _overlaps(t, rows[None])[0]
+    phase_a = -np.angle(a) if abs(a) > 0 else 0.0
+    phase_b = -np.angle(b) if abs(b) > 0 else 0.0
+    gate = np.diag([np.exp(1j * phase_a), np.exp(1j * phase_b)])
+    return (gate @ rows[0],) + tuple(rows[1:])
 
 
 def _block_update(m: np.ndarray, old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -381,7 +379,7 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
     values, _, meta = _ascend_batch(
         lambda r: _objective(t, r), lambda r: _sweep(t, r), _retract, rows, cfg, chunk, _CEILING)
     return ObjectiveResult(
-        unitary=LocalUnitary(factors=_phase_fixed(psi, tuple(rows[meta.best_start]))),
+        unitary=LocalUnitary(factors=_phase_fixed(t, rows[meta.best_start])),
         value=float(values[meta.best_start]),
         metadata=meta,
     )
@@ -397,15 +395,17 @@ def decide(
     Runs the objective maximization and evaluates the variance of the
     canonical MK operator on the rotated state from its end overlaps
     a = <0..0|U psi> and b = <1..1|U psi>, as 2**(n-1) (|a|^2 + |b|^2 -
-    4 Re(conj(a) b)^2), which holds for any phases; no MK operator is
-    built.  It declares the state entangled when the variance falls short
-    of its ceiling 2**(n-1) by more than ``tau * 2**(n-1)``.  The margin is
+    4 Re(conj(a) b)^2), which holds for any phases.  a and b of the
+    phase-fixed U come from the search's own contraction ``_overlaps``, in
+    one O(2**n) pass; no MK operator is built and U psi is never formed.
+    It declares the state entangled when the variance falls short of its
+    ceiling 2**(n-1) by more than ``tau * 2**(n-1)``.  The margin is
     reported either way so near-threshold states can be inspected by the
     caller.  ``tau`` must be finite and in [0, 1).
     """
     check_tau(tau)
     result = maximize_objective(psi, config)
-    a, b = _end_overlaps(psi, result.unitary.factors)
+    a, b = map(complex, _overlaps(psi.tensor(), np.array(result.unitary.factors)[None])[0])
     bound = float(2 ** (psi.n - 1))
     delta = max(bound * (abs(a) ** 2 + abs(b) ** 2 - 4 * (a.conjugate() * b).real ** 2), 0.0)
     margin = bound - delta

@@ -1,4 +1,4 @@
-"""State vectors of n qubits, single-qubit gates and single-qubit reductions.
+"""State vectors of n qubits, their wire-format checks and single-qubit reductions.
 
 State vectors use the convention that basis index ``i`` encodes qubit 1 as
 the most significant bit, so ``|0...0>`` is index 0 and ``|1...1>`` is index
@@ -56,14 +56,6 @@ def _number_rows(raw, count: int, width: int, what: str) -> np.ndarray:
             booleans = ", not booleans" if isinstance(row, list) and bool in map(type, row) else ""
             raise ValueError(f"{what} {i} must be a list of {width} numbers{booleans}")
     return np.array(raw, dtype=float)
-
-
-def apply_single_qubit(vec: np.ndarray, n: int, qubit: int, mat: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 matrix to one qubit (1-based index) of a 2^n state vector."""
-    if not 1 <= qubit <= n:
-        raise ValueError(f"qubit index {qubit} out of range 1..{n}")
-    t = np.asarray(vec).reshape(2 ** (qubit - 1), 2, -1)
-    return np.einsum("ab,lbr->lar", mat, t).reshape(-1)
 
 
 class PureState:

@@ -19,7 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from mkvariance import MeasurementSettings, MKOperator
-from mkvariance.linalg import PAULI_X, PAULI_Y, PAULI_Z, apply_single_qubit
+from mkvariance.linalg import PAULI_X, PAULI_Y, PAULI_Z
+
+from overlap_reference import apply_single_qubit
 
 
 def pauli_combination(v) -> np.ndarray:

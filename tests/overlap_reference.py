@@ -1,15 +1,24 @@
-"""Fixtures for the overlap objective: a local unitary applied to a state,
-the objective's value at it, the identity local unitary, and the local
-unitary that sends a known product state to |0...0>.
+"""Fixtures for the overlap objective: a single-qubit gate, a local unitary
+applied to a state, the objective's value at it, the identity local
+unitary, and the local unitary that sends a known product state to |0...0>.
 
-The library only maximizes the objective; these build a known U and
-evaluate it, so tests can check the search and the variance against them.
+The library only maximizes the objective and reads the end overlaps from
+its own contraction; these apply a known U gate by gate and evaluate it, so
+tests can check the search and the variance against them.  The gate is also
+what ``klyshko_reference`` builds its literal recursion from.
 """
 
 import numpy as np
 
 from mkvariance import LocalUnitary, PureState
-from mkvariance.linalg import apply_single_qubit
+
+
+def apply_single_qubit(vec: np.ndarray, n: int, qubit: int, mat: np.ndarray) -> np.ndarray:
+    """Apply a 2x2 matrix to one qubit (1-based index) of a 2^n state vector."""
+    if not 1 <= qubit <= n:
+        raise ValueError(f"qubit index {qubit} out of range 1..{n}")
+    t = np.asarray(vec).reshape(2 ** (qubit - 1), 2, -1)
+    return np.einsum("ab,lbr->lar", mat, t).reshape(-1)
 
 
 def rotate(psi: PureState, unitary: LocalUnitary) -> np.ndarray:

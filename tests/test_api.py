@@ -29,7 +29,6 @@ PUBLIC = [
     "OptimizerMetadata",
     "OracleVerdict",
     "PureState",
-    "apply_single_qubit",
     "canonical_mk",
     "canonical_settings",
     "decide",

@@ -10,7 +10,6 @@ import pytest
 
 from mkvariance import (
     PureState,
-    apply_single_qubit,
     canonical_mk,
     ghz,
     generalized_ghz,
@@ -18,6 +17,8 @@ from mkvariance import (
     random_state,
     reduced_density,
 )
+
+from overlap_reference import apply_single_qubit
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
