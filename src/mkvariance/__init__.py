@@ -7,6 +7,7 @@ from entangled ones (strict inequality).  A purity-based oracle provides
 independent ground truth for testing.
 """
 
+from .ascent import OptimizerConfig, OptimizerMetadata
 from .bell import (
     MeasurementSettings,
     MKMeanResult,
@@ -22,8 +23,6 @@ from .criterion import (
     DecisionReport,
     LocalUnitary,
     ObjectiveResult,
-    OptimizerConfig,
-    OptimizerMetadata,
     decide,
     maximize_objective,
     variance,

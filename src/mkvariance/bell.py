@@ -13,15 +13,15 @@ realism the mean value of B_n is bounded by 1, while its operator norm is
     B + i B' = M = c (x)_j O_j,    O_j = (a_j + i a'_j) . sigma,    c = ((1 - i)/2)**(n-1)
 
 (Belinskii & Klyshko 1993; Gisin & Bechmann-Pasquinucci 1998), which is the
-only representation used here.  Only B is built: B' is B of the settings
-with every a_j and a'_j exchanged.  A mean value <psi|B|psi> =
-Re <psi|M|psi> costs n single-qubit gates; the see-saw of max_mk_mean
-uses it.  B = (M + M^dag)/2 is applied to a state vector
+only representation used here.  Only B is built: B' is B of the settings with
+every a_j and a'_j exchanged.  A mean value <psi|B|psi> = Re <psi|M|psi> costs
+n single-qubit gates; the see-saw of max_mk_mean, run on the multi-start
+driver of ``ascent``, uses it.  B = (M + M^dag)/2 is applied to a state vector
 matrix-free with 2n single-qubit gates (n for M, n for M^dag), so O(n 2^n);
 explicit matrices are only formed on demand for n <= DENSE_QUBIT_CAP.  The
-literal recursion lives in the tests as an independent reference.  Vectors
-are columns: S vectors form a (2**n, S) array and S gates a (2, 2, S) one,
-so each step of the see-saw loops over its S starts inside one numpy call.
+literal recursion lives in the tests as an independent reference.  Vectors are
+columns: S vectors form a (2**n, S) array and S gates a (2, 2, S) one, so each
+step of the see-saw loops over its S starts inside one numpy call.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .ascent import OptimizerConfig, _ascend_batch, _chunk
 from .linalg import (
     DENSE_QUBIT_CAP,
     MAX_QUBITS,
@@ -316,24 +317,18 @@ def _start_directions(n: int, starts: int, seed: int) -> np.ndarray:
     return z
 
 
-def max_mk_mean(psi: PureState, config=None) -> MKMeanResult:
+def max_mk_mean(psi: PureState, config: OptimizerConfig | None = None) -> MKMeanResult:
     """Maximize <psi|B(settings)|psi> over all measurement settings.
 
     Multi-start block-coordinate ascent (a see-saw): the mean is linear in
     each qubit's pair (a_j, a'_j) with the others held fixed, so every block
     update is exact (see ``_sweep``).  Start 0 is the canonical fan, start 1
-    the all-z axial configuration, the rest are seeded random directions;
-    each is one (n, 3) row z_j = a_j + i a'_j, a copy of ``_start_directions``.
-    The starts run on ``criterion._ascend_batch`` with no ceiling and with
+    the all-z axial configuration, the rest are seeded random directions; each
+    is one (n, 3) row z_j = a_j + i a'_j, a copy of ``_start_directions``.
+    The starts run on ``ascent._ascend_batch`` with no ceiling and with
     ``_retract`` for the extrapolation step, in chunks of 2**18 // (n 2**n),
-    which bounds the cached kets.  The result copies the driver's run record:
-    ``total_sweeps`` adds up the sweeps of all starts; ``capped_starts``
-    counts those that used all ``max_iterations`` sweeps without meeting the
-    tolerance; ``converged`` says that the best start met it before the cap.
+    which bounds the cached kets; the result copies its ``OptimizerMetadata``.
     """
-    # Deferred: criterion imports this module.
-    from .criterion import _CHUNK_AMPLITUDES, OptimizerConfig, _ascend_batch
-
     cfg = config if config is not None else OptimizerConfig()
     n = psi.n
     if n < 2:
@@ -341,7 +336,7 @@ def max_mk_mean(psi: PureState, config=None) -> MKMeanResult:
     z = _start_directions(n, cfg.resolved_starts(n), cfg.seed).copy()
     values, _, meta = _ascend_batch(
         lambda d: _means(psi.amplitudes, d), lambda d: _sweep(psi.amplitudes, d), _retract, z, cfg,
-        max(1, _CHUNK_AMPLITUDES // (n << n)))
+        _chunk(n << n))
     best = meta.best_start
     return MKMeanResult(
         settings=MeasurementSettings(n=n, a=z[best].real, a_prime=z[best].imag),

@@ -18,14 +18,10 @@ phase fix and the verdict all read the end overlaps from one contraction,
 All starts ascend together as one batch, which holds each factor U_j as its
 rows and updates them in place.  A sweep builds the Kronecker products of the
 rows of the qubits still to be updated once, and carries the state contracted
-with the rows already updated, so it costs O(S 2**n) for S starts.
-``_ascend_batch`` drives this search and the MK mean see-saw of
-``bell.max_mk_mean`` alike: it runs the starts in chunks that bound the
-working memory at large n, stops each start by its gain alone, keeps the
-lowest-index best and builds the run record of either search.  Here a
-chunk holds 2**18 // 2**n starts, and the search ends early, with the same
-result, once the best of the stopped starts reaches the objective's
-ceiling 1: no later start can beat it.
+with the rows already updated, so it costs O(S 2**n) for S starts.  The starts
+run on ``ascent._ascend_batch`` in chunks of 2**18 // 2**n, and the search
+ends early, with the same result, once the best of the stopped starts reaches
+the objective's ceiling 1: no later start can beat it.
 
 With canonical settings the MK operator is 2**((n-1)/2) (|0..0><1..1| +
 h.c.), so its variance on U psi follows from the two end overlaps alone.
@@ -38,42 +34,19 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .ascent import OptimizerConfig, OptimizerMetadata, _ascend_batch, _chunk
 # Unused here, but perfbench/spans.py rebinds criterion.canonical_mk.
 from .bell import canonical_mk  # noqa: F401
-from .linalg import PureState, _is_integer
+from .linalg import PureState
 
 DECISION_TAU = 1e-6
 UNITARY_TOL = 1e-10
-VALUE_TOLERANCE = 1e-12
 
 
 def check_tau(tau: float) -> None:
     """Rejects a decision threshold that is not finite or not in [0, 1)."""
     if not (math.isfinite(tau) and 0.0 <= tau < 1.0):
         raise ValueError(f"tau must be finite and in [0, 1), got {tau!r}")
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Seed, start count and sweep cap of the multi-start searches.
-
-    ``starts=None`` resolves to max(32, 8n) at run time.
-    """
-
-    seed: int = 0
-    starts: int | None = None
-    max_iterations: int = 300
-
-    def __post_init__(self) -> None:
-        if not (_is_integer(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.starts is not None and not (_is_integer(self.starts) and self.starts >= 1):
-            raise ValueError(f"starts must be an integer >= 1, got {self.starts!r}")
-        if not (_is_integer(self.max_iterations) and self.max_iterations >= 1):
-            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
-
-    def resolved_starts(self, n: int) -> int:
-        return self.starts if self.starts is not None else max(32, 8 * n)
 
 
 @dataclass(frozen=True)
@@ -93,20 +66,6 @@ class LocalUnitary:
             u.setflags(write=False)
             frozen.append(u)
         object.__setattr__(self, "factors", tuple(frozen))
-
-
-@dataclass(frozen=True)
-class OptimizerMetadata:
-    """The search's run record; see ``maximize_objective``."""
-
-    starts: int
-    iterations: int
-    best_start: int
-    identity_value: float
-    total_sweeps: int
-    capped_starts: int
-    starts_at_best: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -165,11 +124,6 @@ def variance(psi: PureState, op) -> float:
 # S starts carries only these rows, shape (S, n, 2, 2) indexed [start, qubit,
 # overlap, component]; a block update writes one qubit's rows in place.
 # ---------------------------------------------------------------------------
-
-# Starts are ascended in chunks of 2**18 // 2**n (at least one), which keeps
-# a sweep's suffix and left-contracted arrays to a few MB at any n; the MK
-# mean see-saw divides the same budget by its n cached kets.
-_CHUNK_AMPLITUDES = 2**18
 
 # No objective exceeds 1 by more than roundoff, so a tie-rule best above
 # this value cannot be displaced by any later start.
@@ -261,106 +215,15 @@ def _sweep(t: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, (p + q) / 2.0 + radius
 
 
-def _ascend_batch(
-    evaluate, sweep, retract, params: np.ndarray, cfg: OptimizerConfig, chunk: int, ceiling: float = math.inf,
-) -> tuple[np.ndarray, np.ndarray, OptimizerMetadata]:
-    """The multi-start driver of both block ascents.
-
-    ``params`` holds one row per start and is updated in place.  Starts run
-    in chunks of ``chunk``; ``evaluate(x)`` gives the values of the rows x
-    and ``sweep(x)`` their new rows and values.  A start stops once a sweep
-    raises its value by less than ``VALUE_TOLERANCE`` (each block update
-    maximizes exactly, so a sweep's gain is quadratic in its steps and no
-    step test is needed) or is its ``max_iterations``-th; stopped starts
-    leave the batch.  A start that goes on after an odd sweep from sweep 11
-    on (most starts of small states stop sooner, and a step is kept less
-    often right after another) tries ``retract(x + lam (x - x_prev))``, for
-    its rows x_prev and x before and after the sweep, mapped back to valid
-    rows; it moves there only if that raises its value by
-    ``VALUE_TOLERANCE``, so no start's value falls.  lam starts at 1 and is
-    kept per start: times 1.5 after a kept step, halved down to 1 after a
-    rejected one (Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl. 30,
-    1128 (2008)).  Sweep counts leave out these evaluations.  The best start
-    is the lowest index among those whose values agree to 1e-12, carried
-    along as starts stop; once it exceeds ``ceiling`` the starts still
-    ascending are abandoned with the sweeps they ran and later chunks never
-    run.  Returns each start's value and sweep count, and the run record
-    (see ``maximize_objective``).
-    """
-    starts = len(params)
-    values = np.zeros(starts)
-    sweeps = np.zeros(starts, dtype=int)
-    unfinished = np.zeros(starts, dtype=bool)
-    best = settled = 0
-    for lo in range(0, starts, chunk):
-        part, vals, counts = params[lo:lo + chunk], values[lo:lo + chunk], sweeps[lo:lo + chunk]
-        vals[:] = evaluate(part)
-        # The starts still ascending, compacted: their chunk indices, rows,
-        # values and lam.  A start's results are written back once, when it stops.
-        index, x, current, lam = np.arange(len(vals)), part, vals.copy(), np.ones(len(vals))
-        for sweep_count in range(1, cfg.max_iterations + 1):
-            previous = x
-            x, value = sweep(x)
-            done = value - current < VALUE_TOLERANCE
-            current = value
-            if sweep_count == cfg.max_iterations:
-                unfinished[lo + index[~done]] = True
-                done[:] = True
-            if done.any():
-                stops, going = index[done], ~done
-                part[stops], vals[stops], counts[stops] = x[done], current[done], sweep_count
-                index, current, lam = index[going], current[going], lam[going]
-                x, previous = x[going], previous[going]
-                # The starts before the first one still ascending have stopped;
-                # the best is final only once one has.
-                stopped = lo + (index[0] if index.size else len(vals))
-                for k in range(settled, stopped):
-                    if values[k] > values[best] + 1e-12:
-                        best = k
-                settled = stopped
-                if index.size == 0 or (settled and values[best] > ceiling):
-                    break
-            if sweep_count >= 11 and sweep_count % 2:
-                candidate = retract(x + lam.reshape(-1, *[1] * (x.ndim - 1)) * (x - previous))
-                trial = evaluate(candidate)
-                kept = trial - current >= VALUE_TOLERANCE
-                x[kept] = candidate[kept]
-                current = np.where(kept, trial, current)
-                lam = np.where(kept, 1.5 * lam, np.maximum(lam / 2, 1.0))
-        # Starts still ascending here were abandoned at the ceiling.
-        part[index], vals[index], counts[index] = x, current, sweep_count
-        unfinished[lo + index] = True
-        if values[best] > ceiling:
-            break
-    abandoned = unfinished & (sweeps < cfg.max_iterations)  # a capped start ran all its sweeps
-    return values, sweeps, OptimizerMetadata(
-        starts=starts,
-        iterations=int(sweeps[best]),
-        best_start=best,
-        identity_value=float(values[0]),
-        total_sweeps=int(sweeps.sum()),
-        capped_starts=int(np.sum(unfinished & ~abandoned)),
-        starts_at_best=int(np.sum((sweeps > 0) & ~abandoned & (np.abs(values - values[best]) <= 1e-9))),
-        converged=not unfinished[best],
-    )
-
-
 def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) -> ObjectiveResult:
     """Multi-start maximization of the overlap objective over local unitaries.
 
     The identity is always start 0, so the result never falls below the
     identity's converged value.  Remaining starts use seeded uniform random
     angles (theta in [0, pi], chi in [0, 2 pi)).  The starts run on
-    ``_ascend_batch`` in chunks of 2**18 // 2**n with the ceiling 1 - 5e-13,
-    since no objective exceeds 1 beyond roundoff, and with ``_retract`` for
-    the extrapolation step.  The metadata is the driver's run record, built
-    there alike for the see-saw of ``bell.max_mk_mean``.  ``total_sweeps``
-    adds up the sweeps of all starts, abandoned ones included, not the
-    step's objective evaluations; ``capped_starts`` counts the starts that
-    used all ``max_iterations`` sweeps without meeting the tolerance.
-    ``starts_at_best`` counts the stopped starts within 1e-9 of the best
-    value, not those abandoned at the ceiling or in chunks that never ran;
-    ``converged`` says that the best start met the tolerance before the cap.
+    ``ascent._ascend_batch`` with ``_retract`` for the extrapolation step
+    and the ceiling 1 - 5e-13, since no objective exceeds 1 beyond
+    roundoff; the metadata is the driver's ``OptimizerMetadata``.
     """
     cfg = config if config is not None else OptimizerConfig()
     n = psi.n
@@ -375,9 +238,8 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
     thetas, chis = angles[:, 0], angles[:, 1]
     rows = _rows(np.stack([np.cos(thetas / 2), np.exp(1j * chis) * np.sin(thetas / 2)], axis=-1))
     t = psi.tensor()
-    chunk = max(1, _CHUNK_AMPLITUDES >> n)
     values, _, meta = _ascend_batch(
-        lambda r: _objective(t, r), lambda r: _sweep(t, r), _retract, rows, cfg, chunk, _CEILING)
+        lambda r: _objective(t, r), lambda r: _sweep(t, r), _retract, rows, cfg, _chunk(2**n), _CEILING)
     return ObjectiveResult(
         unitary=LocalUnitary(factors=_phase_fixed(t, rows[meta.best_start])),
         value=float(values[meta.best_start]),

@@ -1,18 +1,20 @@
-"""The public surface: the exported names, and the module attributes that the
-benchmark's traced runs rebind.
+"""The public surface: the exported names, the module attributes that the
+benchmark reads or its traced runs rebind, and the import layers of the
+package.
 
 ``perfbench/spans.py`` wraps every ``(owner, attr)`` of its ``TARGETS`` by
 reading ``owner.__dict__[attr]``, so removing a name that a module imports
 only for it breaks every traced run.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
 import pytest
 
 import mkvariance
-from mkvariance import MKOperator, canonical_mk
+from mkvariance import MKOperator, canonical_mk, criterion
 
 PUBLIC = [
     "DECISION_TAU",
@@ -44,6 +46,20 @@ PUBLIC = [
 ]
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PACKAGE = Path(mkvariance.__file__).resolve().parent
+
+
+def package_imports(tree):
+    """The modules of the package that the imports in ``tree`` name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = ".".join(filter(None, ["mkvariance" if node.level else None, node.module])).split(".")
+            if parts[0] == "mkvariance":
+                names.update(parts[1:2] or [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("mkvariance."))
+    return names
 
 
 def load_spans():
@@ -65,6 +81,22 @@ def test_every_traced_binding_exists():
     assert bindings
     for name, owner, attr in bindings:
         assert attr in owner.__dict__, f"{name}: {owner.__name__} has no {attr}"
+
+
+def test_config_read_by_the_benchmark_resolves_on_criterion():
+    # perfbench/workloads.py builds its config as criterion.OptimizerConfig.
+    assert criterion.OptimizerConfig is mkvariance.OptimizerConfig
+
+
+def test_only_the_front_ends_import_criterion_and_every_import_is_at_module_level():
+    # ``ascent`` sits below both searches, so bell needs no import of criterion.
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert {name for name, tree in trees.items() if "criterion" in package_imports(tree)} == {"cli", "__init__"}
+    assert package_imports(trees["ascent"]) == {"linalg"}
+    deferred = [f"{name}.py:{node.lineno}" for name, tree in trees.items()
+                for function in ast.walk(tree) if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(function) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert deferred == []
 
 
 @pytest.mark.parametrize("n", [2, 5, 11])

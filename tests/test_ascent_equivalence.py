@@ -26,7 +26,8 @@ from mkvariance import (
     random_product_state,
     random_state,
 )
-from mkvariance.criterion import VALUE_TOLERANCE, _phase_fixed
+from mkvariance.ascent import VALUE_TOLERANCE
+from mkvariance.criterion import _phase_fixed
 
 from overlap_reference import rotate
 

@@ -29,8 +29,9 @@ from mkvariance import (
     random_state,
     variance,
 )
-from mkvariance import criterion
-from mkvariance.criterion import VALUE_TOLERANCE, _ascend_batch, _objective, _phase_fixed, _rows, _sweep
+from mkvariance import ascent, bell, criterion
+from mkvariance.ascent import VALUE_TOLERANCE, _ascend_batch
+from mkvariance.criterion import _objective, _phase_fixed, _rows, _sweep
 from mkvariance.oracle import random_product_factors
 
 from overlap_reference import identity_unitary, localize_product, objective, rotate
@@ -569,7 +570,9 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
     # see-saw at n = 4, so the tie-rule best is carried across chunk
     # boundaries, and on product states the ceiling exit skips later chunks.
     # The see-saw caps every start of these Haar states at 10 sweeps; at the
-    # default 300, every start of seed 4 stops on a tolerance.
+    # default 300, every start of seed 4 stops on a tolerance.  Results do
+    # not show the chunk, so spies on both searches' ``_ascend_batch``
+    # record it: the one patched budget must reach both.
     def run():
         records = []
         for seed in range(6):
@@ -584,8 +587,15 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
         return records
 
     default = run()
-    monkeypatch.setattr(criterion, "_CHUNK_AMPLITUDES", 2**6)
+    chunks = {}
+    for module in (criterion, bell):
+        def spy(*args, ascend=module._ascend_batch, name=module.__name__):
+            chunks.setdefault(name, set()).add(args[5])
+            return ascend(*args)
+        monkeypatch.setattr(module, "_ascend_batch", spy)
+    monkeypatch.setattr(ascent, "_CHUNK_AMPLITUDES", 2**6)
     assert run() == default
+    assert chunks == {"mkvariance.criterion": {4}, "mkvariance.bell": {1}}
 
 
 def test_run_record_counts_capped_starts():

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mkvariance import DECISION_TAU, LocalUnitary, MeasurementSettings, OptimizerConfig, PureState, decide, random_state
-from mkvariance import bell, criterion
+from mkvariance import ascent, bell, criterion
 from mkvariance.criterion import _objective, _rows, _sweep
 
 from klyshko_reference import dense_pair, mk_pair
@@ -136,7 +136,7 @@ def ascend(evaluate, sweep, params, cap, retract):
     """_ascend_batch on a copy of params, as both searches call it: its three
     results and the final params."""
     params = params.copy()
-    results = criterion._ascend_batch(
+    results = ascent._ascend_batch(
         evaluate, sweep, retract, params, OptimizerConfig(max_iterations=cap), len(params), criterion._CEILING)
     return results + (params,)
 

@@ -25,8 +25,8 @@ from mkvariance import (
     max_mk_mean,
     random_state,
 )
+from mkvariance.ascent import VALUE_TOLERANCE, _ascend_batch
 from mkvariance.bell import _factors, _means, _retract, _sweep
-from mkvariance.criterion import VALUE_TOLERANCE, _ascend_batch
 
 from klyshko_reference import dense_pair, raw_mean
 
