@@ -30,6 +30,7 @@ h.c.), so its variance on U psi follows from the two end overlaps alone.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -219,8 +220,11 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
     """Multi-start maximization of the overlap objective over local unitaries.
 
     The identity is always start 0, so the result never falls below the
-    identity's converged value.  Remaining starts use seeded uniform random
-    angles (theta in [0, pi], chi in [0, 2 pi)).  The starts run on
+    identity's converged value.  Remaining starts use uniform random angles
+    (theta in [0, pi), chi in [0, 2 pi)) scaled from
+    ``random.Random(seed).random()``, n thetas then n chis per start; Python
+    keeps that stream the same in every version, so a seed gives the same
+    starts whatever numpy is installed.  The starts run on
     ``ascent._ascend_batch`` with ``_retract`` for the extrapolation step
     and the ceiling 1 - 5e-13, since no objective exceeds 1 beyond
     roundoff; the metadata is the driver's ``OptimizerMetadata``.
@@ -230,10 +234,11 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
     if n < 2:
         raise ValueError("objective maximization requires n >= 2")
     starts = cfg.resolved_starts(n)
-    rng = np.random.default_rng(cfg.seed)
-    # Start 0 has all angles 0: the identity.  One draw equals per-start
-    # uniform(0, pi, n) and uniform(0, 2 pi, n) calls bit for bit.
-    drawn = rng.random((starts - 1, 2, n)) * np.array([[math.pi], [2 * math.pi]])
+    # Start 0 has all angles 0: the identity.  int(), because random.Random
+    # refuses the numpy integer seeds that OptimizerConfig accepts.
+    draw = random.Random(int(cfg.seed)).random
+    drawn = np.array([draw() for _ in range((starts - 1) * 2 * n)]).reshape(starts - 1, 2, n)
+    drawn *= np.array([[math.pi], [2 * math.pi]])
     angles = np.concatenate([np.zeros((1, 2, n)), drawn])
     thetas, chis = angles[:, 0], angles[:, 1]
     rows = _rows(np.stack([np.cos(thetas / 2), np.exp(1j * chis) * np.sin(thetas / 2)], axis=-1))

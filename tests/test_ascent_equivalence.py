@@ -1,8 +1,9 @@
 """The batched multi-start ascent against the literal per-start reference.
 
 The reference below is the original implementation: one start at a time,
-each block update re-contracting the whole state tensor with
-``np.tensordot``, and after every odd sweep from the 11th on that goes on,
+its angles drawn from its own ``random.Random(seed)`` (n thetas, then n
+chis, scaled by pi and 2 pi), each block update re-contracting the whole
+state tensor with ``np.tensordot``, and after every odd sweep from the 11th on that goes on,
 the extrapolation step xi + lam (xi - xi_prev) with its own lam.
 ``maximize_objective`` must reproduce its best start and that start's sweep
 count exactly, and its values and phase-fixed end overlaps to 1e-12.  Where
@@ -14,6 +15,7 @@ while U psi agrees.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -115,7 +117,7 @@ def reference_maximize(psi, cfg):
     """(phase-fixed unitary, value, best_start, best start's sweeps, identity
     value, every start's sweeps, every start's capped flag)."""
     n = psi.n
-    rng = np.random.default_rng(cfg.seed)
+    uniform = random.Random(cfg.seed).random
     t = psi.tensor()
     best_value, best_xis, best_start, best_iterations = -1.0, None, -1, 0
     identity_value = 0.0
@@ -124,8 +126,8 @@ def reference_maximize(psi, cfg):
         if start == 0:
             xis = [np.array([1.0 + 0.0j, 0.0 + 0.0j]) for _ in range(n)]
         else:
-            thetas = rng.uniform(0.0, math.pi, size=n)
-            chis = rng.uniform(0.0, 2 * math.pi, size=n)
+            thetas = [math.pi * uniform() for _ in range(n)]
+            chis = [2 * math.pi * uniform() for _ in range(n)]
             xis = [_xi_from_angles(th, ch) for th, ch in zip(thetas, chis)]
         xis, value, history, stuck = _ascend(t, xis, cfg)
         sweeps.append(len(history) - 1)
@@ -207,6 +209,6 @@ def test_batched_ascent_matches_reference_across_chunks():
 
 def test_every_start_matches_reference_on_a_drift_sensitive_state():
     # Taking |m|^2 as re^2 + im^2 instead of abs(m)**2 in the block update
-    # moves one non-best start of this state by one sweep (1898 -> 1899 in
+    # moves one non-best start of this state by one sweep (831 -> 830 in
     # all); only the total sweep count shows it.
-    assert_matches_reference(random_state(5, 5010), OptimizerConfig(seed=0), every_start=True)
+    assert_matches_reference(random_state(5, 5135), OptimizerConfig(seed=0), every_start=True)

@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +62,35 @@ def test_decide_emits_basin_count_and_convergence(tmp_path, capsys):
     assert optimizer["starts_at_best"] == 32
     assert optimizer["converged"] is True
 
+
+# A child that runs the CLI module as ``python -m mkvariance.cli`` would, then
+# reports whether numpy.random was imported with numpy itself and by the end.
+DECIDE_CHILD = """
+import runpy, sys
+import numpy
+eager = "numpy.random" in sys.modules
+sys.argv = ["mkvariance", "decide", sys.argv[1]]
+try:
+    runpy.run_module("mkvariance.cli", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    code = stop.code
+print("numpy.random loaded:", eager, "numpy.random" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_decide_process_does_not_import_numpy_random(tmp_path):
+    # The overlap search draws its starts from Python's random module, so a
+    # decide process never pays numpy.random's import (about 6 MB of RSS).
+    path = state_file(tmp_path, random_state(4, 2))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", DECIDE_CHILD, path], capture_output=True, text=True, env=env)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout)["decision"]["verdict"] == "entangled"
+    if child.stderr.splitlines()[-1] == "numpy.random loaded: True True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert child.stderr.splitlines()[-1] == "numpy.random loaded: False False"
 
 def test_decide_rejects_wrong_amplitude_count(tmp_path, capsys):
     path = tmp_path / "bad.json"

@@ -471,6 +471,39 @@ def test_optimizer_config_validation():
     assert OptimizerConfig(seed=np.int64(3), starts=np.int64(5)).resolved_starts(2) == 5
 
 
+def test_numpy_integer_seed_draws_the_same_starts():
+    # random.Random refuses numpy integer seeds, which OptimizerConfig accepts.
+    psi = random_state(4, 3)
+    plain = maximize_objective(psi, OptimizerConfig(seed=3))
+    numpy_seed = maximize_objective(psi, OptimizerConfig(seed=np.int64(3)))
+    assert numpy_seed.value == plain.value
+    assert numpy_seed.metadata == plain.metadata
+    assert np.array(numpy_seed.unitary.factors).tobytes() == np.array(plain.unitary.factors).tobytes()
+
+
+def test_start_angles_come_from_the_python_random_stream(monkeypatch):
+    # The first four values of random.Random(0).random(), written out, so a
+    # change of the stream, the draw order (n thetas, then n chis, per start)
+    # or the scaling by pi and 2 pi fails here.
+    captured = []
+
+    def spy(evaluate, sweep, retract, params, *rest):
+        captured.append(params.copy())
+        return _ascend_batch(evaluate, sweep, retract, params, *rest)
+
+    monkeypatch.setattr(criterion, "_ascend_batch", spy)
+    maximize_objective(random_state(2, 0), OptimizerConfig(seed=0, starts=2))
+    angles = [(0.0, 0.0), (0.0, 0.0),
+              (math.pi * 0.8444218515250481, 2 * math.pi * 0.420571580830845),
+              (math.pi * 0.7579544029403025, 2 * math.pi * 0.25891675029296335)]
+    expected = []
+    for theta, chi in angles:
+        xi0, xi1 = math.cos(theta / 2), complex(math.cos(chi), math.sin(chi)) * math.sin(theta / 2)
+        expected.append([[xi0, xi1.conjugate()], [-xi1, xi0]])
+    assert len(captured) == 1
+    np.testing.assert_allclose(captured[0], np.array(expected).reshape(2, 2, 2, 2), rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("tau", [-1.0, -1e-9, 1.0, 2.0, math.nan, math.inf])
 def test_decide_rejects_bad_tau(tau):
     with pytest.raises(ValueError, match="tau"):
