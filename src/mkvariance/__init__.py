@@ -21,7 +21,6 @@ from .bell import (
 from .criterion import (
     DECISION_TAU,
     DecisionReport,
-    LocalUnitary,
     ObjectiveResult,
     decide,
     maximize_objective,
@@ -47,7 +46,6 @@ __all__ = [
     "MAX_QUBITS",
     "ORACLE_EPSILON",
     "DecisionReport",
-    "LocalUnitary",
     "MKMeanResult",
     "MKOperator",
     "MeasurementSettings",

@@ -13,7 +13,10 @@ ascent over these exact updates, with an extrapolation step after sweeps 11,
 monotone and deterministic given the seed.  Residual overlap phases are
 removed afterwards by a diagonal phase gate on qubit 1.  The search, the
 phase fix and the verdict all read the end overlaps from one contraction,
-``_overlaps``, of psi with the rows of U.
+``_overlaps``, of psi with the rows of U.  The maximizer is returned as its
+factors U_1, ..., U_n, one read-only (n, 2, 2) array; each factor is built
+from a unit row, so it is unitary by construction, and a search whose best
+value is not finite (a state with NaN amplitudes) raises instead.
 
 All starts ascend together as one batch, which holds each factor U_j as its
 rows and updates them in place.  A sweep builds the Kronecker products of the
@@ -41,7 +44,6 @@ from .bell import canonical_mk  # noqa: F401
 from .linalg import PureState
 
 DECISION_TAU = 1e-6
-UNITARY_TOL = 1e-10
 
 
 def check_tau(tau: float) -> None:
@@ -51,29 +53,14 @@ def check_tau(tau: float) -> None:
 
 
 @dataclass(frozen=True)
-class LocalUnitary:
-    """Tensor product U_1 (x) ... (x) U_n of single-qubit unitaries."""
-
-    factors: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        frozen = []
-        for j, u in enumerate(self.factors):
-            u = np.array(u, dtype=complex)
-            if u.shape != (2, 2):
-                raise ValueError(f"factor {j + 1} is not 2x2")
-            if not (np.isfinite(u).all() and np.max(np.abs(u.conj().T @ u - np.eye(2))) < UNITARY_TOL):
-                raise ValueError(f"factor {j + 1} is not unitary")
-            u.setflags(write=False)
-            frozen.append(u)
-        object.__setattr__(self, "factors", tuple(frozen))
-
-
-@dataclass(frozen=True)
 class ObjectiveResult:
-    """Phase-fixed maximizer and value of the overlap objective."""
+    """Phase-fixed maximizer and value of the overlap objective.
 
-    unitary: LocalUnitary
+    ``factors`` is a read-only complex array of shape (n, 2, 2) whose entry j
+    is the factor U_{j+1} of the local unitary U = U_1 (x) ... (x) U_n.
+    """
+
+    factors: np.ndarray
     value: float
     metadata: OptimizerMetadata
 
@@ -155,16 +142,19 @@ def _objective(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(_overlaps(t, rows)) ** 2, axis=1)
 
 
-def _phase_fixed(t: np.ndarray, rows: np.ndarray) -> tuple:
-    """The factors ``rows`` of one start with a diagonal phase gate
-    left-multiplied on qubit 1, so that both end overlaps become real and
-    nonnegative; the moduli, and so the objective, are unchanged.  A zero
-    overlap keeps its phase."""
+def _phase_fixed(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The factors ``rows`` of one start, shape (n, 2, 2), as a new read-only
+    array with a diagonal phase gate left-multiplied on qubit 1, so that both
+    end overlaps become real and nonnegative; the moduli, and so the
+    objective, are unchanged.  A zero overlap keeps its phase."""
     a, b = _overlaps(t, rows[None])[0]
     phase_a = -np.angle(a) if abs(a) > 0 else 0.0
     phase_b = -np.angle(b) if abs(b) > 0 else 0.0
     gate = np.diag([np.exp(1j * phase_a), np.exp(1j * phase_b)])
-    return (gate @ rows[0],) + tuple(rows[1:])
+    fixed = rows.copy()
+    fixed[0] = gate @ rows[0]
+    fixed.setflags(write=False)
+    return fixed
 
 
 def _block_update(m: np.ndarray, old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -245,11 +235,12 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
     t = psi.tensor()
     values, _, meta = _ascend_batch(
         lambda r: _objective(t, r), lambda r: _sweep(t, r), _retract, rows, cfg, _chunk(2**n), _CEILING)
-    return ObjectiveResult(
-        unitary=LocalUnitary(factors=_phase_fixed(t, rows[meta.best_start])),
-        value=float(values[meta.best_start]),
-        metadata=meta,
-    )
+    value = float(values[meta.best_start])
+    if not math.isfinite(value):
+        # A NaN amplitude passes PureState's norm check and makes every
+        # value NaN, which would fail the verdict's test and read "product".
+        raise ValueError(f"objective value {value!r} is not finite; the state has non-finite amplitudes")
+    return ObjectiveResult(factors=_phase_fixed(t, rows[meta.best_start]), value=value, metadata=meta)
 
 
 def decide(
@@ -272,7 +263,7 @@ def decide(
     """
     check_tau(tau)
     result = maximize_objective(psi, config)
-    a, b = map(complex, _overlaps(psi.tensor(), np.array(result.unitary.factors)[None])[0])
+    a, b = map(complex, _overlaps(psi.tensor(), result.factors[None])[0])
     bound = float(2 ** (psi.n - 1))
     delta = max(bound * (abs(a) ** 2 + abs(b) ** 2 - 4 * (a.conjugate() * b).real ** 2), 0.0)
     margin = bound - delta

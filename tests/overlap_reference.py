@@ -1,16 +1,21 @@
-"""Fixtures for the overlap objective: a single-qubit gate, a local unitary
-applied to a state, the objective's value at it, the identity local
-unitary, and the local unitary that sends a known product state to |0...0>.
+"""Fixtures for the overlap objective: a single-qubit gate, the check that
+a factor array is a local unitary, that unitary applied to a state, the
+objective's value at it, the identity local unitary, and the local unitary
+that sends a known product state to |0...0>.
 
-The library only maximizes the objective and reads the end overlaps from
-its own contraction; these apply a known U gate by gate and evaluate it, so
-tests can check the search and the variance against them.  The gate is also
-what ``klyshko_reference`` builds its literal recursion from.
+A local unitary U = U_1 (x) ... (x) U_n is held as its factors, an array of
+shape (n, 2, 2), as ``maximize_objective`` returns it.  The library only
+maximizes the objective and reads the end overlaps from its own
+contraction; these apply a known U gate by gate and evaluate it, so tests
+can check the search and the variance against them.  The gate is also what
+``klyshko_reference`` builds its literal recursion from.
 """
 
 import numpy as np
 
-from mkvariance import LocalUnitary, PureState
+from mkvariance import PureState
+
+UNITARY_TOL = 1e-10
 
 
 def apply_single_qubit(vec: np.ndarray, n: int, qubit: int, mat: np.ndarray) -> np.ndarray:
@@ -21,27 +26,40 @@ def apply_single_qubit(vec: np.ndarray, n: int, qubit: int, mat: np.ndarray) -> 
     return np.einsum("ab,lbr->lar", mat, t).reshape(-1)
 
 
-def rotate(psi: PureState, unitary: LocalUnitary) -> np.ndarray:
+def local_unitary(factors) -> np.ndarray:
+    """``factors`` as a read-only complex array of shape (n, 2, 2), after
+    checking that each factor is finite and unitary to ``UNITARY_TOL``."""
+    out = np.array(factors, dtype=complex)
+    if out.shape[1:] != (2, 2):
+        raise ValueError(f"factors have shape {out.shape}, not (n, 2, 2)")
+    for j, u in enumerate(out, start=1):
+        if not (np.isfinite(u).all() and np.max(np.abs(u.conj().T @ u - np.eye(2))) < UNITARY_TOL):
+            raise ValueError(f"factor {j} is not unitary")
+    out.setflags(write=False)
+    return out
+
+
+def rotate(psi: PureState, factors: np.ndarray) -> np.ndarray:
     """The amplitudes of U psi, one factor at a time."""
     out = psi.amplitudes
-    for j, u in enumerate(unitary.factors, start=1):
+    for j, u in enumerate(local_unitary(factors), start=1):
         out = apply_single_qubit(out, psi.n, j, u)
     return out
 
 
-def objective(psi: PureState, unitary: LocalUnitary) -> float:
+def objective(psi: PureState, factors: np.ndarray) -> float:
     """|<0..0|U psi>|^2 + |<1..1|U psi>|^2, the modulus form of the quadratic
     objective; equals the constrained form once the overlaps are phase-fixed."""
-    rotated = rotate(psi, unitary)
+    rotated = rotate(psi, factors)
     return abs(complex(rotated[0])) ** 2 + abs(complex(rotated[-1])) ** 2
 
 
-def identity_unitary(n: int) -> LocalUnitary:
+def identity_unitary(n: int) -> np.ndarray:
     """The local unitary whose n factors are all the 2x2 identity."""
-    return LocalUnitary(factors=tuple(np.eye(2, dtype=complex) for _ in range(n)))
+    return local_unitary(np.broadcast_to(np.eye(2), (n, 2, 2)))
 
 
-def localize_product(factors) -> LocalUnitary:
+def localize_product(factors) -> np.ndarray:
     """Local unitary sending a known product state to |0...0>.
 
     Each U_j has the conjugated factor state as its first row, completed to
@@ -57,4 +75,4 @@ def localize_product(factors) -> LocalUnitary:
             raise ValueError(f"factor {j + 1} has norm {norm!r}")
         f = f / norm
         mats.append(np.array([[f[0].conj(), f[1].conj()], [-f[1], f[0]]]))
-    return LocalUnitary(factors=tuple(mats))
+    return local_unitary(mats)

@@ -22,7 +22,6 @@ PUBLIC = [
     "MAX_QUBITS",
     "ORACLE_EPSILON",
     "DecisionReport",
-    "LocalUnitary",
     "MKMeanResult",
     "MKOperator",
     "MeasurementSettings",

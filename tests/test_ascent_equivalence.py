@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from mkvariance import (
-    LocalUnitary,
     OptimizerConfig,
     generalized_ghz,
     maximize_objective,
@@ -137,7 +136,7 @@ def reference_maximize(psi, cfg):
         if value > best_value + 1e-12:
             best_value, best_xis, best_start = value, xis, start
             best_iterations = len(history) - 1
-    unitary = LocalUnitary(factors=_phase_fixed(t, np.array([_factor_from_xi(xi) for xi in best_xis])))
+    unitary = _phase_fixed(t, np.array([_factor_from_xi(xi) for xi in best_xis]))
     return unitary, best_value, best_start, best_iterations, identity_value, sweeps, capped
 
 
@@ -156,7 +155,7 @@ def assert_matches_reference(psi, cfg, every_start=False):
     assert result.value == pytest.approx(value, abs=1e-12)
     assert result.metadata.identity_value == pytest.approx(identity_value, abs=1e-12)
     expected = rotate(psi, unitary)
-    got = rotate(psi, result.unitary)
+    got = rotate(psi, result.factors)
     assert abs(got[0] - expected[0]) <= 1e-12
     assert abs(got[-1] - expected[-1]) <= 1e-12
     if every_start:

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from mkvariance import (
-    LocalUnitary,
     OptimizerConfig,
     PureState,
     canonical_mk,
@@ -31,10 +30,10 @@ from mkvariance import (
 )
 from mkvariance import ascent, bell, criterion
 from mkvariance.ascent import VALUE_TOLERANCE, _ascend_batch
-from mkvariance.criterion import _objective, _phase_fixed, _rows, _sweep
+from mkvariance.criterion import _objective, _overlaps, _phase_fixed, _rows, _sweep
 from mkvariance.oracle import random_product_factors
 
-from overlap_reference import identity_unitary, localize_product, objective, rotate
+from overlap_reference import identity_unitary, local_unitary, localize_product, objective, rotate
 
 
 def haar_factor(rng):
@@ -45,17 +44,17 @@ def haar_factor(rng):
 
 
 def random_local_unitary(rng, n):
-    return LocalUnitary(factors=tuple(haar_factor(rng) for _ in range(n)))
+    return local_unitary([haar_factor(rng) for _ in range(n)])
 
 
-def dense_matrix(unitary):
+def dense_matrix(factors):
     """U_1 (x) ... (x) U_n as an explicit matrix."""
-    return functools.reduce(np.kron, unitary.factors, np.eye(1, dtype=complex))
+    return functools.reduce(np.kron, factors, np.eye(1, dtype=complex))
 
 
-def conjugated_variance(psi, unitary):
+def conjugated_variance(psi, factors):
     """Delta(psi, U^dag B U) of the canonical B, evaluated covariantly as Delta(U psi, B)."""
-    return variance(PureState(rotate(psi, unitary)), canonical_mk(psi.n))
+    return variance(PureState(rotate(psi, factors)), canonical_mk(psi.n))
 
 
 def product_from_factors(factors):
@@ -174,7 +173,7 @@ def test_objective_bounded_by_one():
 
 def test_phase_fix_leaves_nonnegative_overlaps_alone():
     psi = generalized_ghz(3, 0.4)
-    rows = np.array(identity_unitary(3).factors)
+    rows = identity_unitary(3)
     for before, after in zip(rows, _phase_fixed(psi.tensor(), rows)):
         np.testing.assert_array_equal(before, after)
 
@@ -187,12 +186,12 @@ def test_phase_fix_rotates_overlaps_nonnegative():
     amps[-1] = 0.8j
     psi = PureState(amps)
     identity = identity_unitary(3)
-    fixed = LocalUnitary(factors=_phase_fixed(psi.tensor(), np.array(identity.factors)))
+    fixed = _phase_fixed(psi.tensor(), identity)
     rotated = rotate(psi, fixed)
     assert rotated[0] == pytest.approx(0.6, abs=1e-14)
     assert rotated[-1] == pytest.approx(0.8, abs=1e-14)
     assert abs(rotated[0].imag) < 1e-14 and abs(rotated[-1].imag) < 1e-14
-    for before, after in zip(identity.factors[1:], fixed.factors[1:]):
+    for before, after in zip(identity[1:], fixed[1:]):
         np.testing.assert_array_equal(before, after)
 
 
@@ -201,7 +200,7 @@ def test_phase_fix_preserves_objective():
     for _ in range(10):
         psi = random_state(3, int(rng.integers(2**31)))
         unitary = random_local_unitary(rng, 3)
-        fixed = LocalUnitary(factors=_phase_fixed(psi.tensor(), np.array(unitary.factors)))
+        fixed = _phase_fixed(psi.tensor(), unitary)
         assert objective(psi, fixed) == pytest.approx(objective(psi, unitary), abs=1e-14)
         rotated = rotate(psi, fixed)
         assert rotated[0].real >= -1e-12 and abs(rotated[0].imag) < 1e-12
@@ -219,7 +218,7 @@ def test_localize_product_on_zero_factors():
 def test_localize_product_hadamard_like():
     plus = np.array([1.0, 1.0]) / math.sqrt(2)
     unitary = localize_product([plus])
-    out = unitary.factors[0] @ plus
+    out = unitary[0] @ plus
     np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-14)
 
 
@@ -277,8 +276,7 @@ def test_maximize_objective_deterministic():
     r2 = maximize_objective(psi, config)
     assert r1.value == r2.value
     assert r1.metadata.best_start == r2.metadata.best_start
-    for f1, f2 in zip(r1.unitary.factors, r2.unitary.factors):
-        np.testing.assert_array_equal(f1, f2)
+    np.testing.assert_array_equal(r1.factors, r2.factors)
 
 
 def test_ascent_iterations_are_monotone():
@@ -332,8 +330,8 @@ def test_maximize_objective_singlet_grid_cross_check():
     for _ in range(5):
         t1, t2 = rng.uniform(0, math.pi, 2)
         x1, x2 = rng.uniform(0, 2 * math.pi, 2)
-        u_full = LocalUnitary(factors=(factor(t1, x1), factor(t2, x2)))
-        u_reduced = LocalUnitary(factors=(factor(t1, x1 - x2), factor(t2, 0.0)))
+        u_full = [factor(t1, x1), factor(t2, x2)]
+        u_reduced = [factor(t1, x1 - x2), factor(t2, 0.0)]
         assert objective(singlet, u_full) == pytest.approx(
             objective(singlet, u_reduced), abs=1e-12
         )
@@ -366,7 +364,7 @@ def test_maximize_objective_singlet_grid_cross_check():
     assert result.value == pytest.approx(1.0, abs=1e-9)
     assert grid_max == pytest.approx(result.value, abs=1e-3)
     # The maximizer concentrates all weight on the end components.
-    rotated = rotate(singlet, result.unitary)
+    rotated = rotate(singlet, result.factors)
     assert abs(rotated[1]) ** 2 + abs(rotated[2]) ** 2 < 1e-9
 
 
@@ -445,13 +443,28 @@ def test_decide_report_invariants_on_random_states():
 
 def test_local_unitary_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
-        LocalUnitary(factors=(np.array([[1.0, 0.0], [0.0, 2.0]]),))
+        local_unitary([np.array([[1.0, 0.0], [0.0, 2.0]])])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_local_unitary_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="unitary"):
-        LocalUnitary(factors=(np.diag([bad, 1.0]),))
+        local_unitary([np.diag([bad, 1.0])])
+
+
+# NaN arithmetic warns on the way, which the suite's settings turn into errors.
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nan_amplitude_gets_no_verdict():
+    # A NaN amplitude passes the norm check as it stands, and every objective
+    # value is then NaN; the search must raise rather than hand decide a
+    # factor array whose margin fails the test and reads "product".
+    amps = np.zeros(8, dtype=complex)
+    amps[0], amps[5] = math.nan, 1.0
+    config = OptimizerConfig(seed=0, starts=4)
+    with pytest.raises(ValueError):
+        maximize_objective(PureState(amps), config)
+    with pytest.raises(ValueError):
+        decide(PureState(amps), config)
 
 
 def test_optimizer_config_validation():
@@ -478,7 +491,7 @@ def test_numpy_integer_seed_draws_the_same_starts():
     numpy_seed = maximize_objective(psi, OptimizerConfig(seed=np.int64(3)))
     assert numpy_seed.value == plain.value
     assert numpy_seed.metadata == plain.metadata
-    assert np.array(numpy_seed.unitary.factors).tobytes() == np.array(plain.unitary.factors).tobytes()
+    assert numpy_seed.factors.tobytes() == plain.factors.tobytes()
 
 
 def test_start_angles_come_from_the_python_random_stream(monkeypatch):
@@ -542,20 +555,39 @@ CLOSED_FORM_STATES = (
 )
 
 
+def closed_form_state(kind, n, k):
+    """The k-th state of a kind in ``CLOSED_FORM_STATES``, and its config."""
+    if kind == "haar":
+        psi = random_state(n, 700 * n + k)
+    elif kind == "product":
+        psi = random_product_state(n, 800 * n + k)
+    else:
+        psi = generalized_ghz(n, (2 * k + 1) * math.pi / 32)
+    return psi, OptimizerConfig(seed=k, starts=8 if n >= 7 else None)
+
+
+@pytest.mark.parametrize("kind, n", CLOSED_FORM_STATES)
+def test_maximizer_factors_are_a_read_only_local_unitary(kind, n):
+    # The search builds each factor from a unit row and checks nothing at
+    # run time, so its output is checked here.
+    for k in range(3):
+        psi, config = closed_form_state(kind, n, k)
+        factors = maximize_objective(psi, config).factors
+        assert factors.shape == (n, 2, 2) and factors.dtype == complex
+        assert not factors.flags.writeable
+        local_unitary(factors)
+        overlaps = _overlaps(psi.tensor(), factors[None])[0]
+        assert np.all(np.abs(overlaps.imag) <= 1e-15) and np.all(overlaps.real >= -1e-15)
+
+
 @pytest.mark.parametrize("kind, n", CLOSED_FORM_STATES)
 def test_decide_variance_matches_matrix_free_operator(kind, n):
     # decide's variance comes from the two end overlaps alone; the
     # reference applies the canonical MK operator matrix-free.
     for k in range(3):
-        if kind == "haar":
-            psi = random_state(n, 700 * n + k)
-        elif kind == "product":
-            psi = random_product_state(n, 800 * n + k)
-        else:
-            psi = generalized_ghz(n, (2 * k + 1) * math.pi / 32)
-        config = OptimizerConfig(seed=k, starts=8 if n >= 7 else None)
+        psi, config = closed_form_state(kind, n, k)
         report = decide(psi, config)
-        unitary = maximize_objective(psi, config).unitary
+        unitary = maximize_objective(psi, config).factors
         expected = conjugated_variance(psi, unitary)
         assert abs(report.variance - expected) <= 1e-12 * 2 ** (n - 1)
         # alpha and beta come from the search's own contraction; the

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mkvariance import (
-    LocalUnitary,
     PureState,
     generalized_ghz,
     ghz,
@@ -81,7 +80,7 @@ def test_purities_invariant_under_local_unitaries():
             z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             q, r = np.linalg.qr(z)
             factors.append(q * (np.diag(r) / np.abs(np.diag(r))))
-        rotated = PureState(rotate(psi, LocalUnitary(factors=tuple(factors))))
+        rotated = PureState(rotate(psi, factors))
         after = is_product_oracle(rotated).per_qubit_purities
         np.testing.assert_allclose(after, before, atol=1e-10)
 

@@ -1,5 +1,6 @@
 """Invariants of the two block ascents and the verdict, and the product-form
-MK pair against the literal recursion, checked on drawn inputs.
+MK pair against the literal recursion, checked on drawn inputs; and the
+two-qubit variance against its closed form.
 
 Examples are derandomized and bounded, so every run checks the same states.
 """
@@ -10,7 +11,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mkvariance import DECISION_TAU, LocalUnitary, MeasurementSettings, OptimizerConfig, PureState, decide, random_state
+from mkvariance import DECISION_TAU, MeasurementSettings, OptimizerConfig, PureState, decide, random_state
 from mkvariance import ascent, bell, criterion
 from mkvariance.criterion import _objective, _rows, _sweep
 
@@ -218,6 +219,20 @@ def test_verdict_ignores_a_local_unitary_on_haar_states(n, seed, data):
         [np.exp(0.5j * (a - c)) * np.sin(b / 2), np.exp(0.5j * (a + c)) * np.cos(b / 2)],
     ]).transpose(2, 0, 1)
     report = decide(psi)
-    other = decide(PureState(rotate(psi, LocalUnitary(factors=tuple(factors)))))
+    other = decide(PureState(rotate(psi, factors)))
     assert other.verdict == report.verdict
     assert abs(other.objective_value - report.objective_value) < 1e-9
+
+
+def test_two_qubit_variance_matches_the_concurrence_closed_form():
+    # At n = 2 a local unitary reaches the Schmidt form a |00> + b |11>, so the
+    # maximizer's phase-fixed overlaps are the Schmidt coefficients: a^2 + b^2
+    # = 1 and 2ab = C = 2 |psi00 psi11 - psi01 psi10|, the concurrence.  The
+    # variance 2 (a^2 + b^2 - 4 a^2 b^2) is then 2 (1 - C^2), whatever path the
+    # search took.
+    for seed in range(200):
+        psi = random_state(2, seed)
+        amps = psi.amplitudes
+        concurrence = 2 * abs(amps[0] * amps[3] - amps[1] * amps[2])
+        report = decide(psi, OptimizerConfig(seed=seed))
+        assert abs(report.variance - 2 * (1 - concurrence**2)) <= 1e-10 * report.bound
