@@ -96,7 +96,9 @@ def _ascend_batch(
     is the lowest index among those whose values agree to 1e-12, carried
     along as starts stop; once it exceeds ``ceiling`` the starts still
     ascending are abandoned with the sweeps they ran and later chunks never
-    run.  Returns each start's value and sweep count, and the run record.
+    run.  A chunk whose starting values are not all finite (NaN amplitudes)
+    raises ``ValueError`` before its first sweep; a finite start stays
+    finite.  Returns each start's value and sweep count, and the run record.
     """
     starts = len(params)
     values = np.zeros(starts)
@@ -106,6 +108,8 @@ def _ascend_batch(
     for lo in range(0, starts, chunk):
         part, vals, counts = params[lo:lo + chunk], values[lo:lo + chunk], sweeps[lo:lo + chunk]
         vals[:] = evaluate(part)
+        if not np.isfinite(vals).all():
+            raise ValueError("a start's value is not finite; the state has non-finite amplitudes")
         # The starts still ascending, compacted: their chunk indices, rows,
         # values and lam.  A start's results are written back once, when it stops.
         index, x, current, lam = np.arange(len(vals)), part, vals.copy(), np.ones(len(vals))

@@ -328,6 +328,7 @@ def max_mk_mean(psi: PureState, config: OptimizerConfig | None = None) -> MKMean
     The starts run on ``ascent._ascend_batch`` with no ceiling and with
     ``_retract`` for the extrapolation step, in chunks of 2**18 // (n 2**n),
     which bounds the cached kets; the result copies its ``OptimizerMetadata``.
+    NaN amplitudes raise ``ValueError`` there, before any sweep.
     """
     cfg = config if config is not None else OptimizerConfig()
     n = psi.n

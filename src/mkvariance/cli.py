@@ -134,8 +134,6 @@ def _read_mk_op(args) -> tuple[MeasurementSettings]:
     if (args.settings_file is None) == (args.canonical is None):
         raise ValueError("provide exactly one of a settings file and --canonical n")
     if args.canonical is not None:
-        if args.canonical < 2:
-            raise ValueError("--canonical requires n >= 2")
         settings = canonical_settings(args.canonical)
     else:
         with open(args.settings_file, "r", encoding="utf-8") as fh:

@@ -15,8 +15,8 @@ removed afterwards by a diagonal phase gate on qubit 1.  The search, the
 phase fix and the verdict all read the end overlaps from one contraction,
 ``_overlaps``, of psi with the rows of U.  The maximizer is returned as its
 factors U_1, ..., U_n, one read-only (n, 2, 2) array; each factor is built
-from a unit row, so it is unitary by construction, and a search whose best
-value is not finite (a state with NaN amplitudes) raises instead.
+from a unit row, so it is unitary by construction.  A NaN amplitude gets no
+verdict: the driver raises on the starting values, before any sweep.
 
 All starts ascend together as one batch, which holds each factor U_j as its
 rows and updates them in place.  A sweep builds the Kronecker products of the
@@ -217,7 +217,8 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
     starts whatever numpy is installed.  The starts run on
     ``ascent._ascend_batch`` with ``_retract`` for the extrapolation step
     and the ceiling 1 - 5e-13, since no objective exceeds 1 beyond
-    roundoff; the metadata is the driver's ``OptimizerMetadata``.
+    roundoff; the metadata is the driver's ``OptimizerMetadata``.  NaN
+    amplitudes raise ``ValueError`` there, before any sweep.
     """
     cfg = config if config is not None else OptimizerConfig()
     n = psi.n
@@ -235,12 +236,8 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
     t = psi.tensor()
     values, _, meta = _ascend_batch(
         lambda r: _objective(t, r), lambda r: _sweep(t, r), _retract, rows, cfg, _chunk(2**n), _CEILING)
-    value = float(values[meta.best_start])
-    if not math.isfinite(value):
-        # A NaN amplitude passes PureState's norm check and makes every
-        # value NaN, which would fail the verdict's test and read "product".
-        raise ValueError(f"objective value {value!r} is not finite; the state has non-finite amplitudes")
-    return ObjectiveResult(factors=_phase_fixed(t, rows[meta.best_start]), value=value, metadata=meta)
+    return ObjectiveResult(
+        factors=_phase_fixed(t, rows[meta.best_start]), value=float(values[meta.best_start]), metadata=meta)
 
 
 def decide(

@@ -8,7 +8,7 @@ criterion-free referee for the variance test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,18 +24,14 @@ class OracleVerdict:
     per_qubit_purities: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "is_product": self.is_product,
-            "min_purity": self.min_purity,
-            "per_qubit_purities": list(self.per_qubit_purities),
-        }
+        return asdict(self)
 
 
-def is_product_oracle(psi: PureState, epsilon: float = ORACLE_EPSILON) -> OracleVerdict:
+def is_product_oracle(psi: PureState) -> OracleVerdict:
     """Product verdict from single-qubit reduction purities.
 
     Purities lie in [1/2, 1] for qubit reductions; the state is declared a
-    product when every purity exceeds 1 - epsilon.
+    product when every purity exceeds 1 - ``ORACLE_EPSILON``.
     """
     purities = []
     for qubit in range(1, psi.n + 1):
@@ -43,7 +39,7 @@ def is_product_oracle(psi: PureState, epsilon: float = ORACLE_EPSILON) -> Oracle
         purities.append(float(np.trace(rho @ rho).real))
     min_purity = min(purities)
     return OracleVerdict(
-        is_product=bool(min_purity > 1.0 - epsilon),
+        is_product=bool(min_purity > 1.0 - ORACLE_EPSILON),
         min_purity=min_purity,
         per_qubit_purities=tuple(purities),
     )

@@ -390,6 +390,16 @@ def test_mk_op_above_dense_cap_rejects_matrix_dump(capsys):
     assert err.startswith("error:") and "dense" in err
 
 
+@pytest.mark.parametrize("n", ["1", "17"])
+def test_mk_op_rejects_canonical_outside_the_qubit_range(capsys, n):
+    # canonical_settings checks 2 <= n <= MAX_QUBITS in the read step.
+    code, out, err = run_cli(capsys, ["mk-op", "--canonical", n])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_mk_op_requires_input(capsys):
     code, _, err = run_cli(capsys, ["mk-op"])
     assert code == 2

@@ -467,6 +467,22 @@ def test_nan_amplitude_gets_no_verdict():
         decide(PureState(amps), config)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 4, 8, 12])
+def test_nan_amplitude_raises_before_any_sweep(n, monkeypatch):
+    # Every start of a NaN state has a NaN value, so the shared driver raises
+    # on the starting values; neither search sweeps it to the cap.
+    calls = []
+    for module in (criterion, bell):
+        monkeypatch.setattr(module, "_sweep", lambda *args, sweep=module._sweep: calls.append(1) or sweep(*args))
+    amps = random_state(n, 1).amplitudes.copy()
+    amps[1] = math.nan
+    for search in (maximize_objective, decide, max_mk_mean):
+        with pytest.raises(ValueError, match="not finite"):
+            search(PureState(amps))
+    assert calls == []
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ValueError, match="starts"):
         OptimizerConfig(starts=0)
@@ -763,6 +779,19 @@ def test_driver_flags_every_start_that_gains_up_to_the_cap():
     assert list(sweeps) == [3, 3, 3]
     assert meta.capped_starts == 3 and meta.total_sweeps == 9 and meta.iterations == 3
     assert meta.best_start == 2 and meta.converged is False
+
+
+def test_driver_raises_on_a_non_finite_start_before_any_sweep():
+    evaluate, _, _, params = table_search([0.5, 0.9, math.nan, 0.7])
+    swept = []
+
+    def sweep(x):
+        swept.append(len(x))
+        return x.copy(), evaluate(x)
+
+    with pytest.raises(ValueError, match="not finite"):
+        _ascend_batch(evaluate, sweep, no_step, params, OptimizerConfig(), 4)
+    assert swept == []
 
 
 # --- proof conditions on the ceiling state ---
