@@ -35,7 +35,6 @@ import numpy as np
 from .ascent import OptimizerConfig, _ascend_batch, _chunk
 from .linalg import (
     DENSE_QUBIT_CAP,
-    MAX_QUBITS,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -185,10 +184,7 @@ def canonical_settings(n: int) -> MeasurementSettings:
     phi a multiple of 2 pi, so the corner <0..0|B|1..1> is real and positive
     and B matches the GHZ projector form.
     """
-    if n < 2:
-        raise ValueError("canonical settings require n >= 2")
-    if n > MAX_QUBITS:
-        raise ValueError(f"n={n} outside the supported range 2..{MAX_QUBITS}")
+    n = qubit_count(n, 2)
     increment = (-1) ** (n + 1) * math.pi / n
     offset = math.pi / n * ((n + 3) / 4 % 2 - 1)
     angles = [j * increment + offset for j in range(n)]
@@ -199,11 +195,10 @@ def canonical_settings(n: int) -> MeasurementSettings:
 
 def ghz(n: int, sign: int = +1) -> PureState:
     """GHZ state (|0...0> +- |1...1>)/sqrt(2)."""
-    if n < 2:
-        raise ValueError("GHZ states require n >= 2")
+    n = qubit_count(n, 2)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    amps = np.zeros(2 ** qubit_count(n), dtype=complex)
+    amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0 / math.sqrt(2)
     amps[-1] = sign / math.sqrt(2)
     return PureState(amps)
@@ -211,11 +206,10 @@ def ghz(n: int, sign: int = +1) -> PureState:
 
 def generalized_ghz(n: int, phi: float) -> PureState:
     """cos(phi) |0...0> + sin(phi) |1...1> for phi in [0, pi/4]."""
-    if n < 2:
-        raise ValueError("generalized GHZ states require n >= 2")
+    n = qubit_count(n, 2)
     if not 0.0 <= phi <= math.pi / 4 + 1e-15:
         raise ValueError(f"phi={phi} outside [0, pi/4]")
-    amps = np.zeros(2 ** qubit_count(n), dtype=complex)
+    amps = np.zeros(2**n, dtype=complex)
     amps[0] = math.cos(phi)
     amps[-1] = math.sin(phi)
     return PureState(amps)
@@ -331,9 +325,7 @@ def max_mk_mean(psi: PureState, config: OptimizerConfig | None = None) -> MKMean
     NaN amplitudes raise ``ValueError`` there, before any sweep.
     """
     cfg = config if config is not None else OptimizerConfig()
-    n = psi.n
-    if n < 2:
-        raise ValueError("mean maximization requires n >= 2")
+    n = qubit_count(psi.n, 2)
     z = _start_directions(n, cfg.resolved_starts(n), cfg.seed).copy()
     values, _, meta = _ascend_batch(
         lambda d: _means(psi.amplitudes, d), lambda d: _sweep(psi.amplitudes, d), _retract, z, cfg,

@@ -31,7 +31,7 @@ from .bell import (
     max_mk_mean,
 )
 from .criterion import DECISION_TAU, OptimizerConfig, check_tau, decide, variance
-from .linalg import DENSE_QUBIT_CAP, MAX_QUBITS, PureState, _number_rows, qubit_count
+from .linalg import DENSE_QUBIT_CAP, PureState, _number_rows, qubit_count
 from .oracle import is_product_oracle, random_product_state, random_state
 
 EXIT_ENTANGLED = 0
@@ -80,8 +80,7 @@ def _config_from_args(args) -> OptimizerConfig:
 def _read_decide(args) -> tuple[OptimizerConfig, PureState, float]:
     config = _config_from_args(args)
     psi, deviation = load_state_file(args.state_file)
-    if psi.n < 2:
-        raise ValueError("the decision requires n >= 2")
+    qubit_count(psi.n, 2)
     return config, psi, deviation
 
 
@@ -101,8 +100,7 @@ def _run_decide(args, config: OptimizerConfig, psi: PureState, deviation: float)
 
 
 def _read_ghz_scan(args) -> tuple[OptimizerConfig]:
-    if args.n < 2 or args.n > MAX_QUBITS:
-        raise ValueError(f"n must be in 2..{MAX_QUBITS}")
+    qubit_count(args.n, 2)
     if args.points < 2:
         raise ValueError("need at least 2 grid points")
     return (_config_from_args(args),)
@@ -152,11 +150,8 @@ def _run_mk_op(args, settings: MeasurementSettings) -> int:
     }
     if settings.n <= DENSE_QUBIT_CAP:
         matrix = op.dense()
-        eigenvalues = np.linalg.eigvalsh(matrix)
-        out["eigenvalues"] = sorted((float(x) for x in eigenvalues), reverse=True)
-        out["max_abs_eigenvalue"] = float(np.max(np.abs(eigenvalues)))
-    else:
-        out["max_abs_eigenvalue"] = op.operator_norm()
+        out["eigenvalues"] = sorted((float(x) for x in np.linalg.eigvalsh(matrix)), reverse=True)
+    out["max_abs_eigenvalue"] = op.operator_norm()
     if args.dump_matrix:
         out["matrix"] = [[[z.real, z.imag] for z in row] for row in matrix]
     _emit(out, args.json_indent)
@@ -248,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(read=_read_ghz_scan, run=_run_ghz_scan)
 
-    p = sub.add_parser("mk-op", help="eigenvalue summary of an MK operator")
+    p = sub.add_parser("mk-op", help="operator norm and spectrum of an MK operator")
     p.add_argument("settings_file", nargs="?", default=None)
     p.add_argument("--canonical", type=int, default=None, metavar="N", help="use canonical settings")
     p.add_argument("--dump-matrix", action="store_true", help="include full matrix entries")

@@ -41,7 +41,7 @@ import numpy as np
 from .ascent import OptimizerConfig, OptimizerMetadata, _ascend_batch, _chunk
 # Unused here, but perfbench/spans.py rebinds criterion.canonical_mk.
 from .bell import canonical_mk  # noqa: F401
-from .linalg import PureState
+from .linalg import PureState, qubit_count
 
 DECISION_TAU = 1e-6
 
@@ -221,9 +221,7 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
     amplitudes raise ``ValueError`` there, before any sweep.
     """
     cfg = config if config is not None else OptimizerConfig()
-    n = psi.n
-    if n < 2:
-        raise ValueError("objective maximization requires n >= 2")
+    n = qubit_count(psi.n, 2)
     starts = cfg.resolved_starts(n)
     # Start 0 has all angles 0: the identity.  int(), because random.Random
     # refuses the numpy integer seeds that OptimizerConfig accepts.

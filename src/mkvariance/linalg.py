@@ -1,4 +1,5 @@
-"""State vectors of n qubits, their wire-format checks and single-qubit reductions.
+"""State vectors of n qubits, the qubit-count rule, wire-format checks and
+single-qubit reductions.
 
 State vectors use the convention that basis index ``i`` encodes qubit 1 as
 the most significant bit, so ``|0...0>`` is index 0 and ``|1...1>`` is index
@@ -34,12 +35,16 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def qubit_count(value) -> int:
-    """A qubit count: an integer, not a bool, in 1..MAX_QUBITS."""
-    if not _is_integer(value):
-        raise ValueError(f"n must be an integer, got {value!r}")
-    if not 1 <= value <= MAX_QUBITS:
-        raise ValueError(f"n={value} outside the supported range 1..{MAX_QUBITS}")
+def qubit_count(value, minimum: int = 1) -> int:
+    """A qubit count: an integer, not a bool, in minimum..MAX_QUBITS.
+
+    The only place where a qubit count meets a bound.  The minimum is 1 for
+    states, settings and MK operators, and 2 wherever the multiqubit
+    criterion, its searches or the GHZ and Haar families need it.
+    """
+    if not (_is_integer(value) and minimum <= value <= MAX_QUBITS):
+        raise ValueError(f"n={value!r} outside the supported range: n must be an integer "
+                         f"in {minimum}..{MAX_QUBITS}")
     return int(value)
 
 
@@ -71,10 +76,9 @@ class PureState:
     def __init__(self, amplitudes) -> None:
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
         n = int(amps.size).bit_length() - 1
-        if amps.size != 2**n or n < 1:
-            raise ValueError(f"amplitude count {amps.size} is not 2**n for n >= 1")
-        if n > MAX_QUBITS:
-            raise ValueError(f"{n} qubits exceeds the supported maximum of {MAX_QUBITS}")
+        if amps.size != 2**n:
+            raise ValueError(f"amplitude count {amps.size} is not a power of 2")
+        n = qubit_count(n)
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) >= NORM_REPAIR_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 by more than {NORM_REPAIR_TOL}")

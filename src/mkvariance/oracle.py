@@ -47,11 +47,9 @@ def is_product_oracle(psi: PureState) -> OracleVerdict:
 
 def random_product_factors(n: int, seed: int) -> list[np.ndarray]:
     """n single-qubit states drawn uniformly (normalized complex Gaussians)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     factors = []
-    for _ in range(n):
+    for _ in range(qubit_count(n)):
         f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         factors.append(f / np.linalg.norm(f))
     return factors
@@ -60,15 +58,14 @@ def random_product_factors(n: int, seed: int) -> list[np.ndarray]:
 def random_product_state(n: int, seed: int) -> PureState:
     """Tensor product of n independent uniform single-qubit states."""
     amps = np.array([1.0 + 0.0j])
-    for f in random_product_factors(qubit_count(n), seed):
+    for f in random_product_factors(n, seed):
         amps = np.kron(amps, f)
     return PureState(amps)
 
 
 def random_state(n: int, seed: int) -> PureState:
     """Haar-random pure state: normalized vector of 2^n complex Gaussians."""
-    if qubit_count(n) < 2:
-        raise ValueError("n must be >= 2")
+    n = qubit_count(n, 2)
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return PureState(amps / np.linalg.norm(amps))

@@ -108,6 +108,35 @@ def test_decide_gives_no_verdict_on_a_nan_amplitude(tmp_path):
     assert child.returncode != 0
 
 
+def decide_in_a_child(tmp_path, amplitudes):
+    """``python -m mkvariance.cli decide`` on a 2-qubit state file, in a child process."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"n": 2, "amplitudes": amplitudes}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "mkvariance.cli", "decide", str(path)],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("part", [0, 1], ids=["real", "imaginary"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "minus-inf"])
+def test_decide_rejects_an_infinite_amplitude(tmp_path, part, value):
+    # json writes Infinity and -Infinity, and the norm check rejects them.
+    amps = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    amps[0][part] = value
+    child = decide_in_a_child(tmp_path, amps)
+    assert child.returncode == 2
+    assert child.stdout == ""
+    assert child.stderr.startswith("error:") and child.stderr.count("\n") == 1
+    assert "Traceback" not in child.stderr
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a NaN amplitude exits 1 with a traceback, not 2")
+def test_decide_rejects_a_nan_amplitude_as_an_input_error(tmp_path):
+    child = decide_in_a_child(tmp_path, [[math.nan, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    assert child.returncode == 2
+
+
 def test_decide_rejects_wrong_amplitude_count(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 3, "amplitudes": [[1.0, 0.0]] * 7}))
@@ -381,6 +410,28 @@ def test_mk_op_above_dense_cap_reports_closed_form_norm(capsys):
     data = json.loads(out)
     assert "eigenvalues" not in data
     assert data["max_abs_eigenvalue"] == pytest.approx(2**5, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_mk_op_norm_is_the_largest_absolute_eigenvalue_of_canonical_settings(capsys, n):
+    # max_abs_eigenvalue comes from MKOperator.operator_norm at every n; up to
+    # DENSE_QUBIT_CAP the dense spectrum checks it.
+    code, out, _ = run_cli(capsys, ["mk-op", "--canonical", str(n)])
+    assert code == 0
+    data = json.loads(out)
+    assert abs(data["max_abs_eigenvalue"] - max(map(abs, data["eigenvalues"]))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_mk_op_norm_is_the_largest_absolute_eigenvalue_of_random_settings(tmp_path, capsys, n):
+    rng = np.random.default_rng(100 + n)
+    for k in range(5):
+        path = tmp_path / f"settings{k}.json"
+        path.write_text(json.dumps(cli._random_settings(rng, n).to_json_dict()))
+        code, out, _ = run_cli(capsys, ["mk-op", str(path)])
+        assert code == 0
+        data = json.loads(out)
+        assert abs(data["max_abs_eigenvalue"] - max(map(abs, data["eigenvalues"]))) <= 1e-12
 
 
 def test_mk_op_above_dense_cap_rejects_matrix_dump(capsys):

@@ -5,18 +5,27 @@ Kronecker-product matrices, a bit-level partial trace) and compared against
 the library paths.
 """
 
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from mkvariance import (
+    MAX_QUBITS,
     PureState,
     canonical_mk,
+    canonical_settings,
+    cli,
     ghz,
     generalized_ghz,
+    max_mk_mean,
+    maximize_objective,
     random_product_state,
     random_state,
     reduced_density,
 )
+from mkvariance.oracle import random_product_factors
 
 from overlap_reference import apply_single_qubit
 
@@ -169,3 +178,58 @@ def test_oversized_qubit_counts_are_rejected_before_allocation(build):
     # 2**64 amplitudes cannot be allocated, so the count must be checked first.
     with pytest.raises(ValueError, match="outside the supported range"):
         build()
+
+
+def state_of(n):
+    """|0...0> of n qubits; above MAX_QUBITS, where no PureState exists, a
+    stand-in that carries only n, as the searches read nothing else first."""
+    return PureState.basis(n, 0) if n <= MAX_QUBITS else SimpleNamespace(n=n)
+
+
+def read_decide(n, tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"n": n, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * (2**n - 1)}))
+    args = cli.build_parser().parse_args(["decide", str(path)])
+    args.read(args)
+
+
+def read_ghz_scan(n, tmp_path):
+    args = cli.build_parser().parse_args(["ghz-scan", "--n", str(n)])
+    args.read(args)
+
+
+# Each site that takes a qubit count, with the smallest n it accepts.
+QUBIT_COUNT_SITES = {
+    "PureState": (1, lambda n, _: PureState(np.full(2**n, 2 ** (-n / 2)))),
+    "random_product_factors": (1, lambda n, _: random_product_factors(n, 0)),
+    "random_state": (2, lambda n, _: random_state(n, 0)),
+    "canonical_settings": (2, lambda n, _: canonical_settings(n)),
+    "ghz": (2, lambda n, _: ghz(n)),
+    "generalized_ghz": (2, lambda n, _: generalized_ghz(n, 0.3)),
+    "max_mk_mean": (2, lambda n, _: max_mk_mean(state_of(n))),
+    "maximize_objective": (2, lambda n, _: maximize_objective(state_of(n))),
+    "cli-decide-read": (2, read_decide),
+    "cli-ghz-scan-read": (2, read_ghz_scan),
+}
+
+
+@pytest.mark.parametrize("site, n", [
+    pytest.param(site, n, id=f"{site}-n{n}")
+    for site, (minimum, _) in QUBIT_COUNT_SITES.items()
+    for n in (minimum - 1, MAX_QUBITS + 1)
+])
+def test_every_site_rejects_a_qubit_count_outside_its_range(tmp_path, site, n):
+    minimum, call = QUBIT_COUNT_SITES[site]
+    with pytest.raises(ValueError, match="outside the supported range") as raised:
+        call(n, tmp_path)
+    # One rule, one message.  Below the minimum it names the site's own range;
+    # decide's read step checks n = 17 while loading, against the states' range 1..16.
+    assert "n must be an integer in" in str(raised.value)
+    if n < minimum:
+        assert f"in {minimum}..{MAX_QUBITS}" in str(raised.value)
+
+
+@pytest.mark.parametrize("site", list(QUBIT_COUNT_SITES))
+def test_every_site_accepts_its_smallest_qubit_count(tmp_path, site):
+    minimum, call = QUBIT_COUNT_SITES[site]
+    call(minimum, tmp_path)
