@@ -54,12 +54,16 @@ class OptimizerConfig:
 class OptimizerMetadata:
     """The run record of a multi-start search, built by ``_ascend_batch``.
 
-    ``iterations`` counts the best start's sweeps.  ``total_sweeps`` adds up
-    the sweeps of all starts, abandoned ones included, not the step's
-    evaluations; ``capped_starts`` counts the starts that used all
-    ``max_iterations`` sweeps without meeting the tolerance.
-    ``starts_at_best`` counts the stopped starts within 1e-9 of the best
-    value, not those abandoned at the ceiling or in chunks that never ran;
+    ``starts`` counts the starts, ``best_start`` is the lowest index with
+    the best value and ``iterations`` counts its sweeps.  ``identity_value``
+    is the value start 0 ends with; it starts from the identity U in the
+    overlap search and from the canonical settings in the see-saw.
+    ``total_sweeps`` adds up the sweeps of all starts, abandoned ones
+    included, not the step's evaluations; ``capped_starts`` counts the
+    starts that used all ``max_iterations`` sweeps without meeting the
+    tolerance.  ``starts_at_best``, the basin count, counts the stopped
+    starts within 1e-9 of the best value, not those abandoned at the ceiling
+    (only the overlap search has one) or in chunks that never ran;
     ``converged`` says that the best start met the tolerance before the cap.
     """
 

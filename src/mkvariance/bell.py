@@ -14,14 +14,15 @@ realism the mean value of B_n is bounded by 1, while its operator norm is
 
 (Belinskii & Klyshko 1993; Gisin & Bechmann-Pasquinucci 1998), which is the
 only representation used here.  Only B is built: B' is B of the settings with
-every a_j and a'_j exchanged.  A mean value <psi|B|psi> = Re <psi|M|psi> costs
-n single-qubit gates; the see-saw of max_mk_mean, run on the multi-start
-driver of ``ascent``, uses it.  B = (M + M^dag)/2 is applied to a state vector
-matrix-free with 2n single-qubit gates (n for M, n for M^dag), so O(n 2^n);
-explicit matrices are only formed on demand for n <= DENSE_QUBIT_CAP.  The
-literal recursion lives in the tests as an independent reference.  Vectors are
-columns: S vectors form a (2**n, S) array and S gates a (2, 2, S) one, so each
-step of the see-saw loops over its S starts inside one numpy call.
+every a_j and a'_j exchanged.  Vectors are columns: S vectors form a (2**n, S)
+array and S rows of directions z_j = a_j + i a'_j an (n, 3, S) one, and
+``_product_image`` applies each column's (x)_j O_j with one numpy call per
+qubit.  A mean value <psi|B|psi> = Re <psi|M|psi> takes one column per start,
+as in the see-saw of max_mk_mean, which runs on the driver of ``ascent``.
+B = (M + M^dag)/2 is applied matrix-free as two columns, M's z_j and M^dag's
+conj(z_j), in O(n 2^n); explicit matrices are only formed on demand for
+n <= DENSE_QUBIT_CAP.  The literal recursion lives in the tests as an
+independent reference.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ascent import OptimizerConfig, _ascend_batch, _chunk
+from .ascent import OptimizerConfig, OptimizerMetadata, _ascend_batch, _chunk
 from .linalg import (
     DENSE_QUBIT_CAP,
     PAULI_X,
@@ -74,13 +75,8 @@ class MeasurementSettings:
             object.__setattr__(self, name, arr)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "pairs": [
-                {"a": list(self.a[j]), "a_prime": list(self.a_prime[j])}
-                for j in range(self.n)
-            ],
-        }
+        pairs = [{"a": list(a), "a_prime": list(ap)} for a, ap in zip(self.a, self.a_prime)]
+        return {"n": self.n, "pairs": pairs}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MeasurementSettings":
@@ -110,43 +106,48 @@ def _factors(z: np.ndarray) -> np.ndarray:
 
 
 def _apply_factor(vecs: np.ndarray, gates: np.ndarray, j: int) -> np.ndarray:
-    """gates[..., s] applied to qubit j + 1 of column s of vecs (..., 2**n, S).  Leading axes
-    broadcast and carry operators whose gates differ, as M and M^dag in ``MKOperator.apply``."""
-    x = vecs.reshape(vecs.shape[:-2] + (2**j, 1, 2, -1, vecs.shape[-1]))
-    image = (gates[..., None, :, 0, None, :] * x[..., 0, :, :]
-             + gates[..., None, :, 1, None, :] * x[..., 1, :, :])
+    """gates[:, :, s] applied to qubit j + 1 of column s of vecs (2**n, S)."""
+    x = vecs.reshape(2**j, 1, 2, -1, vecs.shape[-1])
+    image = gates[None, :, 0, None] * x[:, :, 0] + gates[None, :, 1, None] * x[:, :, 1]
     return image.reshape(vecs.shape)
+
+
+def _product_image(t: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """((x)_j O_j) t as column s, for the O_j of the directions d[:, :, s] of shape (n, 3, S)."""
+    image = t[:, None].repeat(d.shape[-1], 1)
+    for j, gates in enumerate(_factors(d)):
+        image = _apply_factor(image, gates, j)
+    return image
 
 
 class MKOperator:
     """Matrix-free handle for B = (M + M^dag)/2 with M = c (x)_j O_j.
 
-    Hermitian by construction.  ``apply`` runs the n gates O_j and the n
-    gates O_j^dag on a (2, 2**n, 1) stack of the vector, one call per qubit;
-    ``dense`` materializes the matrix for n <= DENSE_QUBIT_CAP.
+    Hermitian by construction.  It keeps z_j and conj(z_j), the directions of
+    M and of M^dag, as the columns of an (n, 3, 2) array: ``apply`` runs
+    ``_product_image`` on both, and ``dense`` builds M from the first for
+    n <= DENSE_QUBIT_CAP.
     """
 
-    __slots__ = ("n", "settings", "_gates")
+    __slots__ = ("n", "settings", "_directions")
 
     def __init__(self, settings: MeasurementSettings) -> None:
         self.n = settings.n
         self.settings = settings
-        # The factors of M and of M^dag: O_j^dag = (a_j - i a'_j).sigma.
-        z = (settings.a + 1j * settings.a_prime)[..., None]
-        self._gates = _factors(np.stack([z, z.conj()]))
+        z = settings.a + 1j * settings.a_prime
+        self._directions = np.stack([z, z.conj()], axis=-1)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        images = np.broadcast_to(np.asarray(vec, dtype=complex)[:, None], (2, 2**self.n, 1))
-        for j in range(self.n):
-            images = _apply_factor(images, self._gates[:, j], j)
+        images = _product_image(np.asarray(vec, dtype=complex), self._directions)
         c = _prefactor(self.n)
-        return (c * images[0, :, 0] + c.conjugate() * images[1, :, 0]) / 2
+        return (c * images[:, 0] + c.conjugate() * images[:, 1]) / 2
 
     def dense(self) -> np.ndarray:
         if self.n > DENSE_QUBIT_CAP:
             raise ValueError(f"dense MK matrices are capped at {DENSE_QUBIT_CAP} qubits")
         m = np.eye(1, dtype=complex)
-        for factor in self._gates[0, ..., 0]:
+        # M's column alone: a gemm over both columns can flip the sign of a zero entry.
+        for factor in _factors(self._directions[..., :1])[..., 0]:
             m = np.kron(m, factor)
         m = _prefactor(self.n) * m
         return (m + m.conj().T) / 2
@@ -225,24 +226,17 @@ def canonical_mk(n: int) -> MKOperator:
 def _means(t: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Re c <psi|(x)_j O_j|psi> = <psi|B|psi> per start, for z[s, j] = a_j + i a'_j of shape
     (S, n, 3).  The overlap sums rows of 2S floats, as ``_environment``: in one order for any S."""
-    image = t[:, None].repeat(len(z), 1)
-    for j, gates in enumerate(_factors(z.transpose(1, 2, 0).copy())):
-        image = _apply_factor(image, gates, j)
+    image = _product_image(t, z.transpose(1, 2, 0).copy())
     return (_prefactor(z.shape[1]) * (t.conj()[:, None] * image).view(float).sum(0).view(complex)).real
 
 
 @dataclass(frozen=True)
-class MKMeanResult:
-    """Outcome of the numeric MK mean maximization; see ``max_mk_mean``."""
+class MKMeanResult(OptimizerMetadata):
+    """Outcome of ``max_mk_mean``: the see-saw's run record (see
+    ``OptimizerMetadata``) with the best start's settings and mean value."""
 
     settings: MeasurementSettings
     value: float
-    starts: int
-    iterations: int
-    best_start: int
-    total_sweeps: int
-    capped_starts: int
-    converged: bool
 
 
 def _environment(ket: np.ndarray, bra_conj: np.ndarray, j: int) -> np.ndarray:
@@ -321,8 +315,9 @@ def max_mk_mean(psi: PureState, config: OptimizerConfig | None = None) -> MKMean
     is one (n, 3) row z_j = a_j + i a'_j, a copy of ``_start_directions``.
     The starts run on ``ascent._ascend_batch`` with no ceiling and with
     ``_retract`` for the extrapolation step, in chunks of 2**18 // (n 2**n),
-    which bounds the cached kets; the result copies its ``OptimizerMetadata``.
-    NaN amplitudes raise ``ValueError`` there, before any sweep.
+    which bounds the cached kets.  The result is the driver's run record,
+    ``starts_at_best`` included, with the best settings and value.  NaN
+    amplitudes raise ``ValueError`` there, before any sweep.
     """
     cfg = config if config is not None else OptimizerConfig()
     n = qubit_count(psi.n, 2)
@@ -331,7 +326,5 @@ def max_mk_mean(psi: PureState, config: OptimizerConfig | None = None) -> MKMean
         lambda d: _means(psi.amplitudes, d), lambda d: _sweep(psi.amplitudes, d), _retract, z, cfg,
         _chunk(n << n))
     best = meta.best_start
-    return MKMeanResult(
-        settings=MeasurementSettings(n=n, a=z[best].real, a_prime=z[best].imag),
-        value=float(values[best]), starts=meta.starts, iterations=meta.iterations, best_start=best,
-        total_sweeps=meta.total_sweeps, capped_starts=meta.capped_starts, converged=meta.converged)
+    return MKMeanResult(**vars(meta), settings=MeasurementSettings(n=n, a=z[best].real, a_prime=z[best].imag),
+                        value=float(values[best]))

@@ -52,8 +52,8 @@ def load_state_file(path: str) -> tuple[PureState, float]:
     n = qubit_count(data["n"])
     # The view keeps re and im bit for bit, where re + 1j * im would turn 0 * inf into NaN.
     amps = _number_rows(data["amplitudes"], 2**n, 2, "amplitude").view(complex).reshape(-1)
-    deviation = abs(float(np.linalg.norm(amps)) - 1.0)
-    return PureState(amps), deviation
+    psi = PureState(amps)  # checks the norm first, so the one below cannot overflow
+    return psi, abs(float(np.linalg.norm(amps)) - 1.0)
 
 
 def write_state_file(path: str, psi: PureState) -> None:

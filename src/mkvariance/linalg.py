@@ -79,7 +79,8 @@ class PureState:
         if amps.size != 2**n:
             raise ValueError(f"amplitude count {amps.size} is not a power of 2")
         n = qubit_count(n)
-        norm = float(np.linalg.norm(amps))
+        with np.errstate(over="ignore"):  # an overflowed norm is inf, and the check rejects it
+            norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) >= NORM_REPAIR_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 by more than {NORM_REPAIR_TOL}")
         amps /= norm

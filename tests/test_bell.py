@@ -9,14 +9,17 @@ bound against dense eigendecompositions.
 import json
 import math
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from mkvariance import (
     MeasurementSettings,
+    MKMeanResult,
     MKOperator,
     OptimizerConfig,
+    OptimizerMetadata,
     PureState,
     canonical_mk,
     canonical_settings,
@@ -428,6 +431,36 @@ def test_max_mk_mean_converges_on_a_slowly_creeping_state():
     result = max_mk_mean(random_state(4, 0), OptimizerConfig(seed=0))
     assert result.capped_starts == 0
     assert result.converged is True
+
+
+def test_max_mk_mean_result_is_the_driver_run_record():
+    # MKMeanResult adds only the settings and the value to the driver's record.
+    names = [f.name for f in fields(MKMeanResult)]
+    assert names == [f.name for f in fields(OptimizerMetadata)] + ["settings", "value"]
+    result = max_mk_mean(random_state(3, 1), OptimizerConfig(seed=1))
+    assert isinstance(result, OptimizerMetadata)
+    assert result.value >= result.identity_value
+
+
+@pytest.mark.parametrize("kind", ["haar", "ghz"])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_max_mk_mean_identity_value_is_the_canonical_start_alone(kind, n):
+    # Start 0 is the canonical fan, and a start ascends the same in any batch,
+    # so identity_value is, bit for bit, the value of a run of start 0 alone.
+    for seed in range(4):
+        psi = random_state(n, seed) if kind == "haar" else generalized_ghz(n, 0.1 + 0.15 * seed)
+        config = OptimizerConfig(seed=seed)
+        result = max_mk_mean(psi, config)
+        assert result.identity_value == max_mk_mean(psi, replace(config, starts=1)).value
+        assert 1 <= result.starts_at_best <= result.starts
+
+
+def test_max_mk_mean_basin_count_shows_an_unsettled_search():
+    # Every start of this Haar state is still rising at the 300-sweep cap, so
+    # no two of them agree to 1e-9: the best value comes from one start alone.
+    result = max_mk_mean(random_state(4, 2), OptimizerConfig(seed=2))
+    assert (result.starts_at_best, result.capped_starts, result.starts) == (1, 32, 32)
+    assert result.converged is False
 
 
 def test_max_mk_mean_memory_is_chunked():

@@ -131,6 +131,16 @@ def test_decide_rejects_an_infinite_amplitude(tmp_path, part, value):
     assert "Traceback" not in child.stderr
 
 
+@pytest.mark.parametrize("amplitude", [[1e200, 0.0], [0.0, -2e154], [1e154, 1e154]], ids=["1e200", "imaginary", "both"])
+def test_decide_rejects_a_huge_finite_amplitude_without_a_warning(tmp_path, amplitude):
+    # The squared norm overflows to inf, which the norm check rejects; numpy's
+    # overflow warning, printed above the error line, is kept quiet.
+    child = decide_in_a_child(tmp_path, [amplitude, [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    assert child.returncode == 2
+    assert child.stdout == ""
+    assert child.stderr == "error: state norm inf deviates from 1 by more than 1e-06\n"
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a NaN amplitude exits 1 with a traceback, not 2")
 def test_decide_rejects_a_nan_amplitude_as_an_input_error(tmp_path):
     child = decide_in_a_child(tmp_path, [[math.nan, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])

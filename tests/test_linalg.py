@@ -73,6 +73,14 @@ def test_pure_state_rejects_large_deviation():
         PureState(amps)
 
 
+@pytest.mark.parametrize("huge", [1e200, -2e154, 1e154 + 1e154j, 1.7e308j])
+def test_pure_state_rejects_a_huge_finite_amplitude_without_a_warning(huge):
+    # The squared norm overflows to inf; pyproject.toml makes numpy's
+    # overflow RuntimeWarning an error, so only a quiet norm gets here.
+    with pytest.raises(ValueError, match="norm inf"):
+        PureState([huge, 0, 0, 0])
+
+
 def test_pure_state_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         PureState(np.ones(7) / np.sqrt(7))

@@ -3,8 +3,9 @@ with exit 2, nothing on stdout and exactly one `error:` line.
 
 Each example starts from a valid settings file of 1-4 qubits and breaks it in
 one way.  The search is derandomized and bounded, so the examples are the
-same on every run.  State files are not fuzzed yet: a NaN amplitude still
-exits 1 (ROADMAP item 1).
+same on every run.  State files are fuzzed the same way in
+tests/test_state_fuzz.py, all but NaN amplitudes, which still exit 1
+(ROADMAP item 1).
 """
 
 import json
