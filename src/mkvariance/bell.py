@@ -34,15 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ascent import OptimizerConfig, OptimizerMetadata, _ascend_batch, _chunk
-from .linalg import (
-    DENSE_QUBIT_CAP,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    PureState,
-    _number_rows,
-    qubit_count,
-)
+from .linalg import DENSE_QUBIT_CAP, PAULI_X, PAULI_Y, PAULI_Z, PureState, qubit_count
 
 _PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 # (v.sigma) flattened is _SIGMA @ v, and Tr(sigma_k R) is (_TRACE @ R.flat)[k].
@@ -73,26 +65,6 @@ class MeasurementSettings:
                 raise ValueError(f"{name} contains non-unit vectors")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def to_json_dict(self) -> dict:
-        pairs = [{"a": list(a), "a_prime": list(ap)} for a, ap in zip(self.a, self.a_prime)]
-        return {"n": self.n, "pairs": pairs}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MeasurementSettings":
-        if not isinstance(data, dict) or "n" not in data or "pairs" not in data:
-            raise ValueError("settings must be an object with 'n' and 'pairs'")
-        n = qubit_count(data["n"])
-        pairs = data["pairs"]
-        if not isinstance(pairs, list) or len(pairs) != n:
-            got = len(pairs) if isinstance(pairs, list) else type(pairs).__name__
-            raise ValueError(f"expected a list of {n} pairs, got {got}")
-        for j, pair in enumerate(pairs, start=1):
-            if not isinstance(pair, dict) or "a" not in pair or "a_prime" not in pair:
-                raise ValueError(f"pair {j} must be an object with 'a' and 'a_prime'")
-        a = _number_rows([p["a"] for p in pairs], n, 3, "'a' of pair")
-        ap = _number_rows([p["a_prime"] for p in pairs], n, 3, "'a_prime' of pair")
-        return cls(n=n, a=a, a_prime=ap)
 
 
 def _prefactor(n: int) -> complex:

@@ -1,20 +1,24 @@
 """Command-line front end: decide states, scan the generalized-GHZ family,
 inspect MK operators, and run the built-in selftest.
 
-All input and output is JSON.  State files look like
+All input and output is JSON, and only this module reads or writes it: the
+library takes and returns arrays and dataclasses.  State and settings files
+look like
 
-    {"n": 3, "amplitudes": [[re, im], ...]}        (2^n entries)
+    {"n": 3, "amplitudes": [[re, im], ...]}                      (2^n entries)
+    {"n": 3, "pairs": [{"a": [x, y, z], "a_prime": [x, y, z]}, ...]}  (n pairs)
 
-and settings files use the wire format of MeasurementSettings.  The `decide`
-command encodes its verdict in the exit code: 0 entangled, 1 product,
-2 input error.  Each command has a read step, which parses and checks its
-options and files, and a run step, which computes.  `main` guards only the
-read step: an input error prints one line and exits 2.
+The `decide` command prints the report's fields and encodes its verdict in
+the exit code: 0 entangled, 1 product, 2 input error.  Each command has a
+read step, which parses and checks its options and files, and a run step,
+which computes.  `main` guards only the read step: an input error prints
+one line and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -30,8 +34,8 @@ from .bell import (
     ghz,
     max_mk_mean,
 )
-from .criterion import DECISION_TAU, OptimizerConfig, check_tau, decide, variance
-from .linalg import DENSE_QUBIT_CAP, PureState, _number_rows, qubit_count
+from .criterion import DECISION_TAU, DecisionReport, OptimizerConfig, check_tau, decide, variance
+from .linalg import DENSE_QUBIT_CAP, PureState, qubit_count
 from .oracle import is_product_oracle, random_product_state, random_state
 
 EXIT_ENTANGLED = 0
@@ -43,12 +47,37 @@ EXIT_INPUT_ERROR = 2
 INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError)
 
 
+def _object_with(data, what: str, *keys: str) -> dict:
+    """Parsed JSON that must be an object holding ``keys``."""
+    if not isinstance(data, dict) or any(key not in data for key in keys):
+        raise ValueError(f"{what} must be an object with " + " and ".join(map(repr, keys)))
+    return data
+
+
+def _list_of(raw, count: int, what: str) -> list:
+    """Parsed JSON that must be a list of ``count`` entries."""
+    if not isinstance(raw, list) or len(raw) != count:
+        got = len(raw) if isinstance(raw, list) else type(raw).__name__
+        raise ValueError(f"expected a list of {count} {what}s, got {got}")
+    return raw
+
+
+def _number_rows(raw, count: int, width: int, what: str) -> np.ndarray:
+    """Parsed JSON that must be a list of ``count`` lists of ``width`` numbers,
+    as a (count, width) float array.  Booleans, which Python would take for 0
+    and 1, are refused.  The ValueError names the bad entry."""
+    for i, row in enumerate(_list_of(raw, count, what), start=1):
+        if not (isinstance(row, list) and len(row) == width
+                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)):
+            booleans = ", not booleans" if isinstance(row, list) and bool in map(type, row) else ""
+            raise ValueError(f"{what} {i} must be a list of {width} numbers{booleans}")
+    return np.array(raw, dtype=float)
+
+
 def load_state_file(path: str) -> tuple[PureState, float]:
     """Read a StateFile, returning the state and the recorded norm deviation."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or "n" not in data or "amplitudes" not in data:
-        raise ValueError("state file must be an object with 'n' and 'amplitudes'")
+        data = _object_with(json.load(fh), "state file", "n", "amplitudes")
     n = qubit_count(data["n"])
     # The view keeps re and im bit for bit, where re + 1j * im would turn 0 * inf into NaN.
     amps = _number_rows(data["amplitudes"], 2**n, 2, "amplitude").view(complex).reshape(-1)
@@ -63,6 +92,31 @@ def write_state_file(path: str, psi: PureState) -> None:
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh)
+
+
+def load_settings_file(path: str) -> MeasurementSettings:
+    """Read a settings file; the ValueError names the first bad part."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = _object_with(json.load(fh), "settings", "n", "pairs")
+    n = qubit_count(data["n"])
+    pairs = [_object_with(pair, f"pair {j}", "a", "a_prime")
+             for j, pair in enumerate(_list_of(data["pairs"], n, "pair"), start=1)]
+    a = _number_rows([p["a"] for p in pairs], n, 3, "'a' of pair")
+    ap = _number_rows([p["a_prime"] for p in pairs], n, 3, "'a_prime' of pair")
+    return MeasurementSettings(n=n, a=a, a_prime=ap)
+
+
+def settings_json(settings: MeasurementSettings) -> dict:
+    """The JSON object of a settings file."""
+    pairs = [{"a": list(a), "a_prime": list(ap)} for a, ap in zip(settings.a, settings.a_prime)]
+    return {"n": settings.n, "pairs": pairs}
+
+
+def decision_json(report: DecisionReport) -> dict:
+    """The JSON object of a report: its fields, with the run record under "optimizer"."""
+    data = dataclasses.asdict(report)
+    data["optimizer"] = data.pop("optimizer_metadata")
+    return data
 
 
 def _emit(obj: dict, indent: int | None) -> None:
@@ -91,8 +145,8 @@ def _run_decide(args, config: OptimizerConfig, psi: PureState, deviation: float)
         {
             "n": psi.n,
             "norm_deviation": deviation,
-            "decision": report.to_json_dict(),
-            "oracle": oracle.to_json_dict(),
+            "decision": decision_json(report),
+            "oracle": dataclasses.asdict(oracle),
         },
         args.json_indent,
     )
@@ -134,8 +188,7 @@ def _read_mk_op(args) -> tuple[MeasurementSettings]:
     if args.canonical is not None:
         settings = canonical_settings(args.canonical)
     else:
-        with open(args.settings_file, "r", encoding="utf-8") as fh:
-            settings = MeasurementSettings.from_json_dict(json.load(fh))
+        settings = load_settings_file(args.settings_file)
     if args.dump_matrix and settings.n > DENSE_QUBIT_CAP:
         raise ValueError(f"dense dump is only available for n <= {DENSE_QUBIT_CAP}")
     return (settings,)
@@ -146,7 +199,7 @@ def _run_mk_op(args, settings: MeasurementSettings) -> int:
     out: dict = {
         "n": settings.n,
         "norm_bound": float(2 ** ((settings.n - 1) / 2)),
-        "settings": settings.to_json_dict(),
+        "settings": settings_json(settings),
     }
     if settings.n <= DENSE_QUBIT_CAP:
         matrix = op.dense()

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,11 +79,6 @@ class DecisionReport:
     verdict: str
     tau: float
     optimizer_metadata: OptimizerMetadata
-
-    def to_json_dict(self) -> dict:
-        data = asdict(self)
-        data["optimizer"] = data.pop("optimizer_metadata")
-        return data
 
 
 def variance(psi: PureState, op) -> float:
@@ -231,7 +226,7 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
     angles = np.concatenate([np.zeros((1, 2, n)), drawn])
     thetas, chis = angles[:, 0], angles[:, 1]
     rows = _rows(np.stack([np.cos(thetas / 2), np.exp(1j * chis) * np.sin(thetas / 2)], axis=-1))
-    t = psi.tensor()
+    t = psi.amplitudes
     values, _, meta = _ascend_batch(
         lambda r: _objective(t, r), lambda r: _sweep(t, r), _retract, rows, cfg, _chunk(2**n), _CEILING)
     return ObjectiveResult(
@@ -258,7 +253,7 @@ def decide(
     """
     check_tau(tau)
     result = maximize_objective(psi, config)
-    a, b = map(complex, _overlaps(psi.tensor(), result.factors[None])[0])
+    a, b = map(complex, _overlaps(psi.amplitudes, result.factors[None])[0])
     bound = float(2 ** (psi.n - 1))
     delta = max(bound * (abs(a) ** 2 + abs(b) ** 2 - 4 * (a.conjugate() * b).real ** 2), 0.0)
     margin = bound - delta

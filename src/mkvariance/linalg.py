@@ -1,5 +1,5 @@
-"""State vectors of n qubits, the qubit-count rule, wire-format checks and
-single-qubit reductions.
+"""State vectors of n qubits, the qubit-count rule and single-qubit
+reductions.
 
 State vectors use the convention that basis index ``i`` encodes qubit 1 as
 the most significant bit, so ``|0...0>`` is index 0 and ``|1...1>`` is index
@@ -48,21 +48,6 @@ def qubit_count(value, minimum: int = 1) -> int:
     return int(value)
 
 
-def _number_rows(raw, count: int, width: int, what: str) -> np.ndarray:
-    """Parsed JSON that must be a list of ``count`` lists of ``width`` numbers,
-    as a (count, width) float array.  Booleans, which Python would take for 0
-    and 1, are refused.  The ValueError names the bad entry."""
-    if not isinstance(raw, list) or len(raw) != count:
-        got = len(raw) if isinstance(raw, list) else type(raw).__name__
-        raise ValueError(f"expected a list of {count} {what}s, got {got}")
-    for i, row in enumerate(raw, start=1):
-        if not (isinstance(row, list) and len(row) == width
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)):
-            booleans = ", not booleans" if isinstance(row, list) and bool in map(type, row) else ""
-            raise ValueError(f"{what} {i} must be a list of {width} numbers{booleans}")
-    return np.array(raw, dtype=float)
-
-
 class PureState:
     """Normalized pure state of n qubits.
 
@@ -96,10 +81,6 @@ class PureState:
         amps = np.zeros(2**n, dtype=complex)
         amps[index] = 1.0
         return cls(amps)
-
-    def tensor(self) -> np.ndarray:
-        """Amplitudes reshaped to one axis of dimension 2 per qubit."""
-        return self.amplitudes.reshape((2,) * self.n)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PureState(n={self.n})"

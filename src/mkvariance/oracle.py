@@ -8,7 +8,7 @@ criterion-free referee for the variance test.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +22,6 @@ class OracleVerdict:
     is_product: bool
     min_purity: float
     per_qubit_purities: tuple[float, ...]
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def is_product_oracle(psi: PureState) -> OracleVerdict:

@@ -98,6 +98,33 @@ def test_only_the_front_ends_import_criterion_and_every_import_is_at_module_leve
     assert deferred == []
 
 
+def wire_format_code(name, tree):
+    """What in ``tree`` reads or writes JSON: an import of ``json``, any use
+    of ``dataclasses.asdict``, a function with ``json`` in its name, or the
+    JSON row reader ``_number_rows``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"{name}.py:{node.lineno} imports {a.name}" for a in node.names if a.name.split(".")[0] == "json"]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.module == "json" or node.module == "dataclasses" and "asdict" in [a.name for a in node.names]):
+            found.append(f"{name}.py:{node.lineno} imports from {node.module}")
+        elif isinstance(node, ast.Attribute) and node.attr == "asdict":
+            found.append(f"{name}.py:{node.lineno} calls asdict")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                "json" in node.name.lower() or node.name == "_number_rows"):
+            found.append(f"{name}.py:{node.lineno} defines {node.name}")
+    return found
+
+
+def test_only_the_cli_reads_and_writes_json():
+    # State files, settings files and the report JSON are cli's alone; the
+    # library takes and returns arrays and dataclasses.
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert wire_format_code("cli", trees["cli"])  # the check sees what cli does
+    assert [line for name, tree in trees.items() if name != "cli" for line in wire_format_code(name, tree)] == []
+
+
 @pytest.mark.parametrize("n", [2, 5, 11])
 def test_canonical_mk_is_one_cached_operator(n):
     # perfbench/worker.py counts canonical_mk's builds by its cache misses.

@@ -117,7 +117,7 @@ def reference_maximize(psi, cfg):
     value, every start's sweeps, every start's capped flag)."""
     n = psi.n
     uniform = random.Random(cfg.seed).random
-    t = psi.tensor()
+    t = psi.amplitudes.reshape((2,) * n)
     best_value, best_xis, best_start, best_iterations = -1.0, None, -1, 0
     identity_value = 0.0
     sweeps, capped = [], []

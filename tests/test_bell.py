@@ -29,6 +29,7 @@ from mkvariance import (
     random_state,
 )
 from mkvariance.bell import _means, _start_directions
+from mkvariance.cli import load_settings_file, settings_json
 
 from klyshko_reference import apply_pair, corner_canonical_settings, dense_pair, mk_pair, swapped
 
@@ -483,12 +484,14 @@ def test_max_mk_mean_memory_is_chunked():
 # --- settings serialization ---
 
 
-def test_settings_json_round_trip():
+def test_settings_json_round_trip(tmp_path):
     settings = canonical_settings(3)
-    data = json.loads(json.dumps(settings.to_json_dict()))
+    data = settings_json(settings)
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(data))
     assert data["n"] == 3
     assert set(data["pairs"][0]) == {"a", "a_prime"}
-    back = MeasurementSettings.from_json_dict(data)
+    back = load_settings_file(str(path))
     np.testing.assert_array_equal(back.a, settings.a)
     np.testing.assert_array_equal(back.a_prime, settings.a_prime)
 

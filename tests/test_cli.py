@@ -311,7 +311,10 @@ def test_ghz_scan_rejects_bad_n(capsys):
     assert "n must be" in err
 
 
-@pytest.mark.parametrize("option, word", BAD_OPTIONS)
+@pytest.mark.parametrize("option, word", BAD_OPTIONS + [
+    pytest.param(["--points", "1"], "at least 2 grid points", id="points-1"),
+    pytest.param(["--points", "0"], "at least 2 grid points", id="points-0"),
+])
 def test_ghz_scan_rejects_bad_option(capsys, option, word):
     code, out, err = run_cli(capsys, ["ghz-scan", "--n", "3", "--points", "3"] + option)
     assert code == 2
@@ -345,7 +348,7 @@ def test_mk_op_canonical_four_qubits_extremes(capsys):
 def test_mk_op_reads_settings_file_and_swapped_roundtrip(tmp_path, capsys):
     settings = canonical_settings(3)
     path = tmp_path / "settings.json"
-    path.write_text(json.dumps(settings.to_json_dict()))
+    path.write_text(json.dumps(cli.settings_json(settings)))
     code, out, _ = run_cli(capsys, ["mk-op", str(path), "--dump-matrix"])
     assert code == 0
     data = json.loads(out)
@@ -353,7 +356,7 @@ def test_mk_op_reads_settings_file_and_swapped_roundtrip(tmp_path, capsys):
     # The dumped matrix rebuilt from swapped settings reproduces the
     # literal recursion's B'.
     swapped_path = tmp_path / "swapped.json"
-    swapped_path.write_text(json.dumps(swapped(settings).to_json_dict()))
+    swapped_path.write_text(json.dumps(cli.settings_json(swapped(settings))))
     code2, out2, _ = run_cli(capsys, ["mk-op", str(swapped_path), "--dump-matrix"])
     assert code2 == 0
     swapped_matrix = np.array(
@@ -437,7 +440,7 @@ def test_mk_op_norm_is_the_largest_absolute_eigenvalue_of_random_settings(tmp_pa
     rng = np.random.default_rng(100 + n)
     for k in range(5):
         path = tmp_path / f"settings{k}.json"
-        path.write_text(json.dumps(cli._random_settings(rng, n).to_json_dict()))
+        path.write_text(json.dumps(cli.settings_json(cli._random_settings(rng, n))))
         code, out, _ = run_cli(capsys, ["mk-op", str(path)])
         assert code == 0
         data = json.loads(out)
@@ -469,7 +472,7 @@ def test_mk_op_requires_input(capsys):
 
 def test_mk_op_rejects_settings_file_and_canonical(tmp_path, capsys):
     path = tmp_path / "settings.json"
-    path.write_text(json.dumps(canonical_settings(3).to_json_dict()))
+    path.write_text(json.dumps(cli.settings_json(canonical_settings(3))))
     code, out, err = run_cli(capsys, ["mk-op", str(path), "--canonical", "2"])
     assert code == 2
     assert out == ""

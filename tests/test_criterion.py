@@ -30,6 +30,7 @@ from mkvariance import (
 )
 from mkvariance import ascent, bell, criterion
 from mkvariance.ascent import VALUE_TOLERANCE, _ascend_batch
+from mkvariance.cli import decision_json
 from mkvariance.criterion import _objective, _overlaps, _phase_fixed, _rows, _sweep
 from mkvariance.oracle import random_product_factors
 
@@ -174,7 +175,7 @@ def test_objective_bounded_by_one():
 def test_phase_fix_leaves_nonnegative_overlaps_alone():
     psi = generalized_ghz(3, 0.4)
     rows = identity_unitary(3)
-    for before, after in zip(rows, _phase_fixed(psi.tensor(), rows)):
+    for before, after in zip(rows, _phase_fixed(psi.amplitudes, rows)):
         np.testing.assert_array_equal(before, after)
 
 
@@ -186,7 +187,7 @@ def test_phase_fix_rotates_overlaps_nonnegative():
     amps[-1] = 0.8j
     psi = PureState(amps)
     identity = identity_unitary(3)
-    fixed = _phase_fixed(psi.tensor(), identity)
+    fixed = _phase_fixed(psi.amplitudes, identity)
     rotated = rotate(psi, fixed)
     assert rotated[0] == pytest.approx(0.6, abs=1e-14)
     assert rotated[-1] == pytest.approx(0.8, abs=1e-14)
@@ -200,7 +201,7 @@ def test_phase_fix_preserves_objective():
     for _ in range(10):
         psi = random_state(3, int(rng.integers(2**31)))
         unitary = random_local_unitary(rng, 3)
-        fixed = _phase_fixed(psi.tensor(), unitary)
+        fixed = _phase_fixed(psi.amplitudes, unitary)
         assert objective(psi, fixed) == pytest.approx(objective(psi, unitary), abs=1e-14)
         rotated = rotate(psi, fixed)
         assert rotated[0].real >= -1e-12 and abs(rotated[0].imag) < 1e-12
@@ -290,7 +291,7 @@ def test_ascent_iterations_are_monotone():
             chi = rng.uniform(0, 2 * math.pi)
             xis.append(np.array([math.cos(theta / 2), np.exp(1j * chi) * math.sin(theta / 2)]))
         # A batch of one start, swept by hand to record the value after each sweep.
-        t = psi.tensor()
+        t = psi.amplitudes
         batch = _rows(np.array([xis]))
         history = [_objective(t, batch)[0]]
         for _ in range(cfg.max_iterations):
@@ -422,7 +423,7 @@ def test_decide_near_threshold_margins_are_reported():
 
 def test_decide_report_serializes():
     report = decide(ghz(2), OptimizerConfig(seed=0, starts=4))
-    data = report.to_json_dict()
+    data = decision_json(report)
     assert data["verdict"] == "entangled"
     assert set(data) >= {"objective_value", "alpha", "beta", "variance", "bound", "margin"}
     assert data["optimizer"]["starts"] == 4
@@ -592,7 +593,7 @@ def test_maximizer_factors_are_a_read_only_local_unitary(kind, n):
         assert factors.shape == (n, 2, 2) and factors.dtype == complex
         assert not factors.flags.writeable
         local_unitary(factors)
-        overlaps = _overlaps(psi.tensor(), factors[None])[0]
+        overlaps = _overlaps(psi.amplitudes, factors[None])[0]
         assert np.all(np.abs(overlaps.imag) <= 1e-15) and np.all(overlaps.real >= -1e-15)
 
 
@@ -687,7 +688,7 @@ def test_run_record_counts_capped_starts():
 
 def test_decide_report_serializes_run_record():
     report = decide(random_state(3, 24), OptimizerConfig(seed=0, max_iterations=1))
-    optimizer = report.to_json_dict()["optimizer"]
+    optimizer = decision_json(report)["optimizer"]
     assert optimizer["total_sweeps"] == report.optimizer_metadata.total_sweeps == 32
     assert optimizer["capped_starts"] == report.optimizer_metadata.capped_starts > 0
 

@@ -175,6 +175,17 @@ def test_reduced_density_index_out_of_range():
         reduced_density(ghz(2), 3)
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: PureState.basis(2, 4), "basis index 4 out of range for n=2", id="basis-4"),
+    pytest.param(lambda: PureState.basis(2, -1), "basis index -1 out of range for n=2", id="basis-minus-1"),
+    pytest.param(lambda: ghz(3, sign=0), "sign must be", id="ghz-sign-0"),
+    pytest.param(lambda: ghz(3, sign=2), "sign must be", id="ghz-sign-2"),
+])
+def test_a_basis_index_or_ghz_sign_out_of_range_is_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: ghz(64), id="ghz"),
     pytest.param(lambda: generalized_ghz(64, 0.3), id="generalized_ghz"),

@@ -70,7 +70,7 @@ def overlap_rows(data, n, starts):
 @settings(PROPERTY, max_examples=100)
 @given(data=st.data(), psi=states(5), starts=st.integers(1, 4))
 def test_a_sweep_never_lowers_any_start(data, psi, starts):
-    t = psi.tensor()
+    t = psi.amplitudes
     rows = overlap_rows(data, psi.n, starts)
     before = _objective(t, rows)
     _, after = _sweep(t, rows)
@@ -81,7 +81,7 @@ def both_searches(data, psi, starts):
     """(evaluate, sweep, retract, params) of the see-saw and of the overlap
     ascent, with drawn starting params."""
     a, a_prime = data.draw(unit_vectors(2 * starts * psi.n)).reshape(2, starts, psi.n, 3)
-    t = psi.tensor()
+    t = psi.amplitudes
     return (
         (lambda d: bell._means(psi.amplitudes, d), lambda d: bell._sweep(psi.amplitudes, d), bell._retract,
          a + 1j * a_prime),
@@ -197,7 +197,7 @@ def test_verdict_ignores_global_phase_and_qubit_order(data, psi, phase):
     order = data.draw(st.permutations(range(psi.n)))
     moved = (
         PureState(np.exp(1j * phase) * psi.amplitudes),
-        PureState(np.transpose(psi.tensor(), order).reshape(-1)),
+        PureState(np.transpose(psi.amplitudes.reshape((2,) * psi.n), order).reshape(-1)),
     )
     for other in moved:
         other_report = decide(other)

@@ -2,8 +2,8 @@
 with exit 2, nothing on stdout and exactly one `error:` line.
 
 Each example starts from a valid settings file of 1-4 qubits and breaks it in
-one way.  The search is derandomized and bounded, so the examples are the
-same on every run.  State files are fuzzed the same way in
+one way, 15 examples for each of the 13 ways.  The search is derandomized and
+bounded, so the examples are the same on every run.  State files are fuzzed the same way in
 tests/test_state_fuzz.py, all but NaN amplitudes, which still exit 1
 (ROADMAP item 1).
 """
@@ -11,6 +11,7 @@ tests/test_state_fuzz.py, all but NaN amplitudes, which still exit 1
 import json
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -28,13 +29,12 @@ KINDS = ["top-level", "n-type", "n-range", "missing-key", "pairs-type", "pairs-l
 
 
 @st.composite
-def malformed_settings(draw):
+def malformed_settings(draw, kind):
     n = draw(st.integers(1, 4))
     pairs = [{"a": list(draw(UNIT)), "a_prime": list(draw(UNIT))} for _ in range(n)]
     data = {"n": n, "pairs": pairs}
     j = draw(st.integers(0, n - 1))
     key = draw(st.sampled_from(["a", "a_prime"]))
-    kind = draw(st.sampled_from(KINDS))
     if kind == "top-level":
         return draw(st.one_of(NOT_AN_OBJECT, st.just([n, pairs])))
     if kind == "n-type":
@@ -68,10 +68,13 @@ def malformed_settings(draw):
     return data
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+# One test per kind: a single sampled kind, drawn 200 times, ran some kinds only once.
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=15, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=malformed_settings())
-def test_mk_op_rejects_a_malformed_settings_file(tmp_path, capsys, data):
+@given(draw=st.data())
+def test_mk_op_rejects_a_malformed_settings_file(tmp_path, capsys, kind, draw):
+    data = draw.draw(malformed_settings(kind))
     path = tmp_path / "settings.json"
     path.write_text(json.dumps(data))
     code = main(["mk-op", str(path)])
