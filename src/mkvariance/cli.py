@@ -1,5 +1,5 @@
-"""Command-line front end: decide states, scan the generalized-GHZ family,
-inspect MK operators, and run the built-in selftest.
+"""Command-line front end: decide states, scan the generalized-GHZ family
+and inspect MK operators.
 
 All input and output is JSON, and only this module reads or writes it: the
 library takes and returns arrays and dataclasses.  State and settings files
@@ -31,12 +31,11 @@ from .bell import (
     canonical_mk,
     canonical_settings,
     generalized_ghz,
-    ghz,
     max_mk_mean,
 )
 from .criterion import DECISION_TAU, DecisionReport, OptimizerConfig, check_tau, decide, variance
 from .linalg import DENSE_QUBIT_CAP, PureState, qubit_count
-from .oracle import is_product_oracle, random_product_state, random_state
+from .oracle import is_product_oracle
 
 EXIT_ENTANGLED = 0
 EXIT_PRODUCT = 1
@@ -211,66 +210,6 @@ def _run_mk_op(args, settings: MeasurementSettings) -> int:
     return 0
 
 
-def _random_settings(rng, n: int) -> MeasurementSettings:
-    vecs = rng.standard_normal((2, n, 3))
-    vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
-    return MeasurementSettings(n=n, a=vecs[0], a_prime=vecs[1])
-
-
-def _selftest_checks(seed: int, states: int, config: OptimizerConfig):
-    """Yield (suite, failure message or None) for each check, suite by suite."""
-    for n in range(2, 7):
-        gp = ghz(n, +1)
-        scale = 2 ** ((n - 1) / 2)
-        residual = float(np.linalg.norm(canonical_mk(n).apply(gp.amplitudes) - scale * gp.amplitudes))
-        yield "spectral", f"spectral n={n}: residual {residual:.3e}" if residual >= 1e-10 * scale else None
-    rng = np.random.default_rng(seed)
-    for n in (2, 3, 4):
-        for _ in range(10):
-            settings = _random_settings(rng, n)
-            top = float(np.max(np.abs(np.linalg.eigvalsh(MKOperator(settings).dense()))))
-            yield "norm-bound", f"norm-bound n={n}: {top!r}" if top > 2 ** ((n - 1) / 2) + 1e-9 else None
-    rng = np.random.default_rng(seed + 1)
-    for n in (2, 3, 4, 5):
-        for _ in range(5):
-            settings = _random_settings(rng, n)
-            psi = random_state(n, int(rng.integers(2**31)))
-            op = MKOperator(settings)
-            diff = float(np.max(np.abs(op.apply(psi.amplitudes) - op.dense() @ psi.amplitudes)))
-            yield "matrix-free", f"matrix-free n={n}: diff {diff:.3e}" if diff >= 1e-12 else None
-    for n in (2, 3):
-        for k in range(states):
-            psi = random_product_state(n, seed * 1000 + k)
-            misclassified = decide(psi, config).verdict != "product"
-            yield "oracle-agreement", (
-                f"oracle-agreement: product state n={n} seed={k} misclassified" if misclassified else None)
-        for k in range(states):
-            psi = random_state(n, seed * 2000 + k)
-            expected = "product" if is_product_oracle(psi).is_product else "entangled"
-            disagrees = decide(psi, config).verdict != expected
-            yield "oracle-agreement", (
-                f"oracle-agreement: random state n={n} seed={k} disagrees" if disagrees else None)
-
-
-def _read_selftest(args) -> tuple[OptimizerConfig]:
-    config = OptimizerConfig(seed=args.seed)
-    if args.states < 1:
-        raise ValueError(f"--states must be >= 1, got {args.states}")
-    return (config,)
-
-
-def _run_selftest(args, config: OptimizerConfig) -> int:
-    results = list(_selftest_checks(args.seed, args.states, config))
-    for suite in dict.fromkeys(suite for suite, _ in results):
-        outcomes = [failure for name, failure in results if name == suite]
-        print(f"{suite}: {outcomes.count(None)}/{len(outcomes)} passed")
-    failures = [failure for _, failure in results if failure is not None]
-    for f in failures:
-        print(f"FAIL {f}", file=sys.stderr)
-    print("selftest:", "FAIL" if failures else "PASS")
-    return 1 if failures else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mkvariance",
@@ -302,11 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-matrix", action="store_true", help="include full matrix entries")
     p.add_argument("--json-indent", type=int, default=None)
     p.set_defaults(read=_read_mk_op, run=_run_mk_op)
-
-    p = sub.add_parser("selftest", help="run the built-in verification suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--states", type=int, default=10, help="states per oracle-agreement block")
-    p.set_defaults(read=_read_selftest, run=_run_selftest)
 
     return parser
 

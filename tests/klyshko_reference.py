@@ -11,6 +11,7 @@ here build the pair (B, B') the long way instead, from
 as dense matrices, matrix-free on a vector, and on the corner entries
 <0..0|B|1..1> that fix the canonical azimuthal offset.  ``mk_pair`` gives
 the product form's pair, with B' built as B of the ``swapped`` settings.
+``random_settings`` is the tests' one draw of random unit settings.
 """
 
 import math
@@ -28,6 +29,13 @@ def pauli_combination(v) -> np.ndarray:
     """v.sigma for an arbitrary (not necessarily unit) real 3-vector."""
     v = np.asarray(v, dtype=float).reshape(3)
     return v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
+
+
+def random_settings(rng, n: int) -> MeasurementSettings:
+    """n pairs of unit vectors, normalized standard-normal draws from ``rng``."""
+    vecs = rng.standard_normal((2, n, 3))
+    vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
+    return MeasurementSettings(n=n, a=vecs[0], a_prime=vecs[1])
 
 
 def swapped(settings: MeasurementSettings) -> MeasurementSettings:

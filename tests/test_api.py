@@ -1,12 +1,13 @@
-"""The public surface: the exported names, the module attributes that the
-benchmark reads or its traced runs rebind, and the import layers of the
-package.
+"""The public surface: the exported names, the command-line commands, the
+module attributes that the benchmark reads or its traced runs rebind, and
+the import layers of the package.
 
 ``perfbench/spans.py`` wraps every ``(owner, attr)`` of its ``TARGETS`` by
 reading ``owner.__dict__[attr]``, so removing a name that a module imports
 only for it breaks every traced run.
 """
 
+import argparse
 import ast
 import importlib.util
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import mkvariance
-from mkvariance import MKOperator, canonical_mk, criterion
+from mkvariance import MKOperator, canonical_mk, cli, criterion
 
 PUBLIC = [
     "DECISION_TAU",
@@ -72,6 +73,12 @@ def test_public_names_are_the_agreed_ones():
     assert mkvariance.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(mkvariance, name) is not None
+
+
+def test_cli_commands_are_the_agreed_ones():
+    (commands,) = [action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert list(commands.choices) == ["decide", "ghz-scan", "mk-op"]
 
 
 def test_every_traced_binding_exists():

@@ -26,12 +26,13 @@ from mkvariance import (
     generalized_ghz,
     ghz,
     max_mk_mean,
+    random_product_state,
     random_state,
 )
 from mkvariance.bell import _means, _start_directions
 from mkvariance.cli import load_settings_file, settings_json
 
-from klyshko_reference import apply_pair, corner_canonical_settings, dense_pair, mk_pair, swapped
+from klyshko_reference import apply_pair, corner_canonical_settings, dense_pair, mk_pair, random_settings, swapped
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -40,12 +41,6 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def obs(v):
     return v[0] * SX + v[1] * SY + v[2] * SZ
-
-
-def random_settings(rng, n):
-    vecs = rng.standard_normal((2, n, 3))
-    vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
-    return MeasurementSettings(n=n, a=vecs[0], a_prime=vecs[1])
 
 
 def mk_mean(psi, settings):
@@ -187,20 +182,26 @@ def test_canonical_settings_rejects_small_n():
 # --- canonical operator: keystone spectral regression ---
 
 
-@pytest.mark.parametrize("n", range(2, 11))
-def test_canonical_spectral_form(n):
-    deviation = np.max(np.abs(canonical_mk(n).dense() - spectral_form(n)))
-    assert deviation < 1e-10
-
-
-@pytest.mark.parametrize("n", range(11, 17))
-def test_canonical_ghz_eigenvectors_above_the_dense_cap(n):
-    # Matrix-free: B GHZ+- = +-2**((n-1)/2) GHZ+-.
+def assert_ghz_eigenvectors(n):
+    """Matrix-free: B GHZ+- = +-2**((n-1)/2) GHZ+-."""
     op = canonical_mk(n)
     scale = 2 ** ((n - 1) / 2)
     for sign in (+1, -1):
         g = ghz(n, sign).amplitudes
         assert np.linalg.norm(op.apply(g) - sign * scale * g) < 1e-10 * scale
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_canonical_spectral_form(n):
+    # The dense matrix, then apply on its two eigenvectors.
+    deviation = np.max(np.abs(canonical_mk(n).dense() - spectral_form(n)))
+    assert deviation < 1e-10
+    assert_ghz_eigenvectors(n)
+
+
+@pytest.mark.parametrize("n", range(11, 17))
+def test_canonical_ghz_eigenvectors_above_the_dense_cap(n):
+    assert_ghz_eigenvectors(n)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -340,6 +341,29 @@ def test_max_mk_mean_ghz2_tsirelson():
     assert result.value == pytest.approx(math.sqrt(2), abs=1e-6)
     top = float(np.max(np.abs(np.linalg.eigvalsh(MKOperator(result.settings).dense()))))
     assert result.value <= top + 1e-9
+
+
+def horodecki_maximum(psi):
+    """max <B_2> over settings on a two-qubit state: sqrt(t1^2 + t2^2), with
+    t1 >= t2 the two largest singular values of T_ij = <sigma_i (x) sigma_j>
+    (R., P. & M. Horodecki, Phys. Lett. A 200, 340 (1995)).  B_2 is half the
+    CHSH operator, whose maximum is twice that."""
+    v = psi.amplitudes
+    t = np.array([[np.vdot(v, np.kron(si, sj) @ v).real for sj in (SX, SY, SZ)] for si in (SX, SY, SZ)])
+    top = np.linalg.svd(t, compute_uv=False)[:2]
+    return math.sqrt(float(top @ top))
+
+
+@pytest.mark.parametrize("kind", ["haar", "product", "generalized-ghz"])
+def test_max_mk_mean_at_two_qubits_is_the_horodecki_maximum(kind):
+    # An exact oracle for the see-saw, independent of its settings and sweeps.
+    if kind == "generalized-ghz":
+        cases = [(generalized_ghz(2, float(phi)), OptimizerConfig()) for phi in np.linspace(0.0, math.pi / 4, 9)]
+    else:
+        draw = random_state if kind == "haar" else random_product_state
+        cases = [(draw(2, seed), OptimizerConfig(seed=seed)) for seed in range(40)]
+    for psi, config in cases:
+        assert abs(max_mk_mean(psi, config).value - horodecki_maximum(psi)) <= 1e-10
 
 
 def test_max_mk_mean_zero_state_stays_classical():

@@ -1,6 +1,6 @@
-"""CLI behavior: exit codes, JSON output, file round-trips, selftest."""
+"""CLI behavior: exit codes, JSON output and file round-trips of the three
+commands, decide, ghz-scan and mk-op."""
 
-import dataclasses
 import json
 import math
 import os
@@ -14,7 +14,7 @@ import pytest
 from mkvariance import PureState, canonical_settings, cli, generalized_ghz, random_state
 from mkvariance.cli import load_state_file, main, write_state_file
 
-from klyshko_reference import dense_pair, swapped
+from klyshko_reference import dense_pair, random_settings, swapped
 
 
 def run_cli(capsys, argv):
@@ -440,7 +440,7 @@ def test_mk_op_norm_is_the_largest_absolute_eigenvalue_of_random_settings(tmp_pa
     rng = np.random.default_rng(100 + n)
     for k in range(5):
         path = tmp_path / f"settings{k}.json"
-        path.write_text(json.dumps(cli.settings_json(cli._random_settings(rng, n))))
+        path.write_text(json.dumps(cli.settings_json(random_settings(rng, n))))
         code, out, _ = run_cli(capsys, ["mk-op", str(path)])
         assert code == 0
         data = json.loads(out)
@@ -468,6 +468,13 @@ def test_mk_op_requires_input(capsys):
     code, _, err = run_cli(capsys, ["mk-op"])
     assert code == 2
     assert "settings" in err or "canonical" in err
+    # An unknown command is an input error too, exit 2 from argparse.
+    with pytest.raises(SystemExit) as stop:
+        main(["selftest"])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'selftest'" in captured.err
 
 
 def test_mk_op_rejects_settings_file_and_canonical(tmp_path, capsys):
@@ -500,52 +507,3 @@ def test_mk_op_names_the_missing_part_of_a_settings_file(tmp_path, capsys, data,
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert word in err
-
-
-# --- selftest ---
-
-
-def test_selftest_passes(capsys):
-    code, out, _ = run_cli(capsys, ["selftest", "--states", "3"])
-    assert code == 0
-    assert out.splitlines() == [
-        "spectral: 5/5 passed",
-        "norm-bound: 30/30 passed",
-        "matrix-free: 20/20 passed",
-        "oracle-agreement: 12/12 passed",
-        "selftest: PASS",
-    ]
-
-
-def test_selftest_rejects_negative_seed(capsys):
-    code, out, err = run_cli(capsys, ["selftest", "--seed", "-1"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "seed" in err
-
-
-@pytest.mark.parametrize("states", ["0", "-3"])
-def test_selftest_rejects_no_states(capsys, states):
-    # With no states the oracle-agreement suite would pass vacuously.
-    code, out, err = run_cli(capsys, ["selftest", "--states", states])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "states" in err
-
-
-def test_selftest_forced_failure(capsys, monkeypatch):
-    # The first oracle-agreement check, a product state, is told "entangled".
-    decide, reports = cli.decide, []
-
-    def decide_flipping_the_first(psi, config):
-        reports.append(decide(psi, config))
-        return dataclasses.replace(reports[-1], verdict="entangled") if len(reports) == 1 else reports[-1]
-
-    monkeypatch.setattr(cli, "decide", decide_flipping_the_first)
-    code, out, err = run_cli(capsys, ["selftest", "--states", "2"])
-    assert code == 1
-    assert "oracle-agreement: 7/8 passed" in out
-    assert "selftest: FAIL" in out
-    assert err.splitlines() == ["FAIL oracle-agreement: product state n=2 seed=0 misclassified"]

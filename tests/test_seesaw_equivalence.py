@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from mkvariance import (
-    MeasurementSettings,
     OptimizerConfig,
     PureState,
     canonical_settings,
@@ -28,7 +27,7 @@ from mkvariance import (
 from mkvariance.ascent import VALUE_TOLERANCE, _ascend_batch
 from mkvariance.bell import _factors, _means, _retract, _sweep
 
-from klyshko_reference import dense_pair, raw_mean
+from klyshko_reference import dense_pair, random_settings, raw_mean
 
 # --- reference: the per-start see-saw ------------------------------------
 
@@ -177,9 +176,7 @@ def test_product_form_matches_dense_recursion(n):
     # B + i B' = ((1 - i)/2)**(n-1) (x)_j (a_j + i a'_j).sigma
     rng = np.random.default_rng(70 + n)
     for _ in range(5):
-        vecs = rng.standard_normal((2, n, 3))
-        vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
-        settings = MeasurementSettings(n=n, a=vecs[0], a_prime=vecs[1])
+        settings = random_settings(rng, n)
         b, b_prime = dense_pair(settings)
         product = np.eye(1)
         for factor in _factors((settings.a + 1j * settings.a_prime)[..., None])[..., 0]:
