@@ -3,6 +3,12 @@ when some local unitary U with nonnegative overlaps <0..0|U|psi> and
 <1..1|U|psi> brings the variance of the canonical MK operator on U|psi> up
 to its ceiling 2**(n-1); entangled states stay strictly below it.
 
+``decide`` first tries a certificate built from the single-qubit reductions
+rho_j: the overlap bound G = min_j lambda_max(rho_j) caps the variance at
+2**(n-1) G, and the witness U, which maps each rho_j's top eigenvector to
+|0>, reaches the ceiling on product states.  The search below runs only on
+the states that neither settles, those in the tau shell.
+
 The search for U maximizes |<0..0|U psi>|^2 + |<1..1|U psi>|^2 over local
 unitaries.  Each factor U_j enters only through the single-qubit state it
 maps to |0> (two real angles per qubit), and for fixed other factors the
@@ -25,9 +31,6 @@ with the rows already updated, so it costs O(S 2**n) for S starts.  The starts
 run on ``ascent._ascend_batch`` in chunks of 2**18 // 2**n, and the search
 ends early, with the same result, once the best of the stopped starts reaches
 the objective's ceiling 1: no later start can beat it.
-
-With canonical settings the MK operator is 2**((n-1)/2) (|0..0><1..1| +
-h.c.), so its variance on U psi follows from the two end overlaps alone.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 from .ascent import OptimizerConfig, OptimizerMetadata, _ascend_batch, _chunk
 # Unused here, but perfbench/spans.py rebinds criterion.canonical_mk.
 from .bell import canonical_mk  # noqa: F401
-from .linalg import PureState, qubit_count
+from .linalg import PureState, qubit_count, reduced_density
 
 DECISION_TAU = 1e-6
 
@@ -66,8 +69,26 @@ class ObjectiveResult:
 
 
 @dataclass(frozen=True)
+class Certificate:
+    """What the single-qubit reductions settle: G = ``overlap_bound``, the
+    ``variance_bound`` 2**(n-1) G, the margin at the witness U, and the
+    verdict settled ("entangled" by the bound, "product" by the witness), or
+    None when the search decided."""
+
+    overlap_bound: float
+    variance_bound: float
+    witness_margin: float
+    settles: str | None
+
+
+@dataclass(frozen=True)
 class DecisionReport:
-    """Outcome of the entanglement decision for one state."""
+    """Outcome of the entanglement decision for one state.
+
+    When ``certificate.settles`` is set, no search ran: ``alpha``, ``beta``,
+    ``variance``, ``margin`` and ``objective_value`` are the values at the
+    witness U, and ``optimizer_metadata`` is a record of zero starts.
+    """
 
     n: int
     objective_value: float
@@ -79,6 +100,7 @@ class DecisionReport:
     verdict: str
     tau: float
     optimizer_metadata: OptimizerMetadata
+    certificate: Certificate
 
 
 def variance(psi: PureState, op) -> float:
@@ -233,40 +255,67 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
         factors=_phase_fixed(t, rows[meta.best_start]), value=float(values[meta.best_start]), metadata=meta)
 
 
+# The run record of a report that the certificate settles: no start ran.
+_NO_SEARCH = OptimizerMetadata(starts=0, iterations=0, best_start=0, identity_value=0.0,
+                               total_sweeps=0, capped_starts=0, starts_at_best=0, converged=False)
+
+
+def _witness(psi: PureState) -> tuple[np.ndarray, float]:
+    """The phase-fixed witness factors and the overlap bound G.
+
+    With x = (rho_00 - rho_11)/2, lambda_max(rho_j) = 1/2 + hypot(x, |rho_10|),
+    and its eigenvector (cos h, e^{i arg rho_10} sin h), h = atan2(|rho_10|,
+    x)/2, is the half-angle form of ``_block_update``; the factor U_j maps it
+    to |0>.  Closed forms, so no eigensolver is loaded.
+    """
+    rho = np.array([reduced_density(psi, j) for j in range(1, psi.n + 1)])
+    x, g = (rho[:, 0, 0].real - rho[:, 1, 1].real) / 2, rho[:, 1, 0]
+    half = np.arctan2(np.abs(g), x) / 2
+    xis = np.stack([np.cos(half), np.exp(1j * np.arctan2(g.imag, g.real)) * np.sin(half)], axis=-1)
+    return _phase_fixed(psi.amplitudes, _rows(xis)), 0.5 + float(np.min(np.hypot(x, np.abs(g))))
+
+
+def _end_values(t: np.ndarray, factors: np.ndarray, bound: float) -> tuple[float, float, float, float]:
+    """The objective, alpha, beta and the variance at phase-fixed ``factors``."""
+    a, b = map(complex, _overlaps(t, factors[None])[0])
+    delta = max(bound * (abs(a) ** 2 + abs(b) ** 2 - 4 * (a.conjugate() * b).real ** 2), 0.0)
+    return abs(a) ** 2 + abs(b) ** 2, a.real, b.real, delta
+
+
 def decide(
     psi: PureState,
     config: OptimizerConfig | None = None,
     tau: float = DECISION_TAU,
 ) -> DecisionReport:
-    """Entanglement verdict for a pure state.
+    """Entanglement verdict for a pure state, certificate first.
 
-    Runs the objective maximization and evaluates the variance of the
-    canonical MK operator on the rotated state from its end overlaps
-    a = <0..0|U psi> and b = <1..1|U psi>, as 2**(n-1) (|a|^2 + |b|^2 -
-    4 Re(conj(a) b)^2), which holds for any phases.  a and b of the
-    phase-fixed U come from the search's own contraction ``_overlaps``, in
-    one O(2**n) pass; no MK operator is built and U psi is never formed.
-    It declares the state entangled when the variance falls short of its
-    ceiling 2**(n-1) by more than ``tau * 2**(n-1)``.  The margin is
-    reported either way so near-threshold states can be inspected by the
-    caller.  ``tau`` must be finite and in [0, 1).
+    With canonical settings the MK operator is 2**((n-1)/2) (|0..0><1..1| +
+    h.c.), so for a U with end overlaps a = <0..0|U psi>, b = <1..1|U psi> >= 0
+    the variance on U psi is 2**(n-1) (p + q - 4pq), p = a^2, q = b^2, read
+    from ``_overlaps`` with no MK operator built.  The state is entangled
+    when the variance falls short of its ceiling 2**(n-1) by more than
+    ``tau * 2**(n-1)``.  Every local U has p, q <= G = min_j
+    lambda_max(rho_j) (Wei & Goldbart, Phys. Rev. A 68, 042307 (2003)) and
+    p + q <= 1; there p + q - 4pq peaks at (G, 0), as G >= 1/2 for qubits
+    and (1 - 2G)^2 <= G.  So no variance exceeds 2**(n-1) G, and 1 - G > tau
+    settles "entangled".  Else a witness margin within ``tau * 2**(n-1)``
+    settles "product" with an explicit U.  Only a state in the tau shell,
+    which neither settles, runs ``maximize_objective``.  The margin is
+    reported either way.  ``tau`` must be finite and in [0, 1).
     """
     check_tau(tau)
-    result = maximize_objective(psi, config)
-    a, b = map(complex, _overlaps(psi.amplitudes, result.factors[None])[0])
-    bound = float(2 ** (psi.n - 1))
-    delta = max(bound * (abs(a) ** 2 + abs(b) ** 2 - 4 * (a.conjugate() * b).real ** 2), 0.0)
+    n = qubit_count(psi.n, 2)
+    t, bound = psi.amplitudes, float(2 ** (n - 1))
+    witness, overlap_bound = _witness(psi)
+    value, a, b, delta = _end_values(t, witness, bound)
+    settles = "entangled" if 1.0 - overlap_bound > tau else "product" if bound - delta <= tau * bound else None
+    certificate = Certificate(overlap_bound, bound * overlap_bound, bound - delta, settles)
+    meta = _NO_SEARCH
+    if settles is None:
+        result = maximize_objective(psi, config)
+        _, a, b, delta = _end_values(t, result.factors, bound)
+        value, meta = result.value, result.metadata
     margin = bound - delta
-    verdict = "entangled" if margin > tau * bound else "product"
-    return DecisionReport(
-        n=psi.n,
-        objective_value=result.value,
-        alpha=a.real,
-        beta=b.real,
-        variance=delta,
-        bound=bound,
-        margin=margin,
-        verdict=verdict,
-        tau=tau,
-        optimizer_metadata=result.metadata,
-    )
+    return DecisionReport(n=n, objective_value=value, alpha=a, beta=b, variance=delta, bound=bound, margin=margin,
+                          verdict=settles or ("entangled" if margin > tau * bound else "product"), tau=tau,
+                          optimizer_metadata=meta, certificate=certificate)

@@ -1,7 +1,7 @@
 """Fixtures for the overlap objective: a single-qubit gate, the check that
 a factor array is a local unitary, that unitary applied to a state, the
-objective's value at it, the identity local unitary, and the local unitary
-that sends a known product state to |0...0>.
+objective's value at it, the identity local unitary, the local unitary
+that sends a known product state to |0...0>, and near-product states.
 
 A local unitary U = U_1 (x) ... (x) U_n is held as its factors, an array of
 shape (n, 2, 2), as ``maximize_objective`` returns it.  The library only
@@ -11,9 +11,11 @@ can check the search and the variance against them.  The gate is also what
 ``klyshko_reference`` builds its literal recursion from.
 """
 
+import math
+
 import numpy as np
 
-from mkvariance import PureState
+from mkvariance import PureState, random_product_state, random_state
 
 UNITARY_TOL = 1e-10
 
@@ -76,3 +78,12 @@ def localize_product(factors) -> np.ndarray:
         f = f / norm
         mats.append(np.array([[f[0].conj(), f[1].conj()], [-f[1], f[0]]]))
     return local_unitary(mats)
+
+
+def near_product_state(n: int, seed: int, eps: float) -> PureState:
+    """phi + sqrt(eps) chi, normalized, for phi = random_product_state(n, 1000 +
+    seed) and chi = random_state(n, 2000 + seed).  At eps = 1e-6 many of these
+    lie in the tau shell, where ``decide``'s certificate settles nothing and
+    the search runs."""
+    amps = random_product_state(n, 1000 + seed).amplitudes + math.sqrt(eps) * random_state(n, 2000 + seed).amplitudes
+    return PureState(amps / np.linalg.norm(amps))

@@ -31,16 +31,10 @@ from mkvariance import (
 )
 from mkvariance.bell import _means, _start_directions
 from mkvariance.cli import load_settings_file, settings_json
+from mkvariance.linalg import PAULI_X, PAULI_Y, PAULI_Z
 
-from klyshko_reference import apply_pair, corner_canonical_settings, dense_pair, mk_pair, random_settings, swapped
-
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def obs(v):
-    return v[0] * SX + v[1] * SY + v[2] * SZ
+from klyshko_reference import (
+    apply_pair, corner_canonical_settings, dense_pair, mk_pair, pauli_combination, random_settings, swapped)
 
 
 def mk_mean(psi, settings):
@@ -60,8 +54,8 @@ def spectral_form(n):
 def test_base_case_single_qubit():
     settings = MeasurementSettings(n=1, a=np.array([[0.0, 0.0, 1.0]]), a_prime=np.array([[1.0, 0.0, 0.0]]))
     pair = mk_pair(settings)
-    np.testing.assert_array_equal(pair.bell.dense(), SZ)
-    np.testing.assert_array_equal(pair.bell_swapped.dense(), SX)
+    np.testing.assert_array_equal(pair.bell.dense(), PAULI_Z)
+    np.testing.assert_array_equal(pair.bell_swapped.dense(), PAULI_X)
 
 
 def test_canonical_two_qubit_eigenvalues():
@@ -90,8 +84,8 @@ def test_recursion_consistency():
     for n in (3, 4, 5):
         settings = random_settings(rng, n)
         sub = MeasurementSettings(n=n - 1, a=settings.a[:-1], a_prime=settings.a_prime[:-1])
-        half_sum = obs((settings.a[-1] + settings.a_prime[-1]) / 2)
-        half_diff = obs((settings.a[-1] - settings.a_prime[-1]) / 2)
+        half_sum = pauli_combination((settings.a[-1] + settings.a_prime[-1]) / 2)
+        half_diff = pauli_combination((settings.a[-1] - settings.a_prime[-1]) / 2)
         sub_pair = mk_pair(sub)
         expected = np.kron(sub_pair.bell.dense(), half_sum) + np.kron(
             sub_pair.bell_swapped.dense(), half_diff
@@ -263,7 +257,7 @@ def test_operator_norm_is_attained_above_dense_cap(n):
         op = MKOperator(settings)
         v = np.ones(1)
         for axis in np.cross(settings.a, settings.a_prime):
-            v = np.kron(v, np.linalg.eigh(obs(axis))[1][:, -1])
+            v = np.kron(v, np.linalg.eigh(pauli_combination(axis))[1][:, -1])
         norm = op.operator_norm()
         assert np.linalg.norm(op.apply(v)) == pytest.approx(norm, rel=1e-12)
         w = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
@@ -349,7 +343,8 @@ def horodecki_maximum(psi):
     (R., P. & M. Horodecki, Phys. Lett. A 200, 340 (1995)).  B_2 is half the
     CHSH operator, whose maximum is twice that."""
     v = psi.amplitudes
-    t = np.array([[np.vdot(v, np.kron(si, sj) @ v).real for sj in (SX, SY, SZ)] for si in (SX, SY, SZ)])
+    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
+    t = np.array([[np.vdot(v, np.kron(si, sj) @ v).real for sj in paulis] for si in paulis])
     top = np.linalg.svd(t, compute_uv=False)[:2]
     return math.sqrt(float(top @ top))
 

@@ -15,6 +15,7 @@ from mkvariance import PureState, canonical_settings, cli, generalized_ghz, rand
 from mkvariance.cli import load_state_file, main, write_state_file
 
 from klyshko_reference import dense_pair, random_settings, swapped
+from overlap_reference import near_product_state
 
 
 def run_cli(capsys, argv):
@@ -54,7 +55,8 @@ def test_decide_product_basis_state(tmp_path, capsys):
 
 
 def test_decide_emits_basin_count_and_convergence(tmp_path, capsys):
-    path = state_file(tmp_path, random_state(4, 7))
+    # A state in the tau shell, so that the search runs: 32 starts of 3 sweeps each.
+    path = state_file(tmp_path, near_product_state(4, 10, 1e-6))
     code, out, _ = run_cli(capsys, ["decide", path])
     assert code == 0
     optimizer = json.loads(out)["decision"]["optimizer"]

@@ -34,7 +34,8 @@ from mkvariance.cli import decision_json
 from mkvariance.criterion import _objective, _overlaps, _phase_fixed, _rows, _sweep
 from mkvariance.oracle import random_product_factors
 
-from overlap_reference import identity_unitary, local_unitary, localize_product, objective, rotate
+from overlap_reference import (
+    identity_unitary, local_unitary, localize_product, near_product_state, objective, rotate)
 
 
 def haar_factor(rng):
@@ -422,10 +423,18 @@ def test_decide_near_threshold_margins_are_reported():
 
 
 def test_decide_report_serializes():
+    # GHZ(2) settles by the bound, so its run record is the zero record.
     report = decide(ghz(2), OptimizerConfig(seed=0, starts=4))
     data = decision_json(report)
     assert data["verdict"] == "entangled"
     assert set(data) >= {"objective_value", "alpha", "beta", "variance", "bound", "margin"}
+    assert data["certificate"] == {"overlap_bound": 0.5, "variance_bound": 1.0, "witness_margin": 2.0,
+                                   "settles": "entangled"}
+    assert data["optimizer"] == {"starts": 0, "iterations": 0, "best_start": 0, "identity_value": 0.0,
+                                 "total_sweeps": 0, "capped_starts": 0, "starts_at_best": 0, "converged": False}
+    # A state in the tau shell runs the search with the configured starts.
+    data = decision_json(decide(near_product_state(3, 2, 1e-6), OptimizerConfig(seed=0, starts=4)))
+    assert data["certificate"]["settles"] is None
     assert data["optimizer"]["starts"] == 4
 
 
@@ -600,11 +609,16 @@ def test_maximizer_factors_are_a_read_only_local_unitary(kind, n):
 @pytest.mark.parametrize("kind, n", CLOSED_FORM_STATES)
 def test_decide_variance_matches_matrix_free_operator(kind, n):
     # decide's variance comes from the two end overlaps alone; the
-    # reference applies the canonical MK operator matrix-free.
+    # reference applies the canonical MK operator matrix-free, at the U the
+    # report used: the witness when the certificate settles, else the
+    # search's maximizer.
     for k in range(3):
         psi, config = closed_form_state(kind, n, k)
         report = decide(psi, config)
-        unitary = maximize_objective(psi, config).factors
+        if report.certificate.settles:
+            unitary = criterion._witness(psi)[0]
+        else:
+            unitary = maximize_objective(psi, config).factors
         expected = conjugated_variance(psi, unitary)
         assert abs(report.variance - expected) <= 1e-12 * 2 ** (n - 1)
         # alpha and beta come from the search's own contraction; the
@@ -687,7 +701,8 @@ def test_run_record_counts_capped_starts():
 
 
 def test_decide_report_serializes_run_record():
-    report = decide(random_state(3, 24), OptimizerConfig(seed=0, max_iterations=1))
+    # A state in the tau shell, so that the search runs.
+    report = decide(near_product_state(3, 2, 1e-6), OptimizerConfig(seed=0, max_iterations=1))
     optimizer = decision_json(report)["optimizer"]
     assert optimizer["total_sweeps"] == report.optimizer_metadata.total_sweeps == 32
     assert optimizer["capped_starts"] == report.optimizer_metadata.capped_starts > 0
@@ -734,6 +749,60 @@ def test_basin_count_leaves_out_abandoned_and_unrun_starts():
     meta = maximize_objective(random_product_state(12, 22)).metadata
     assert 1 <= meta.starts_at_best <= 64
     assert meta.converged is True
+
+
+# --- the certificate ---
+
+
+@pytest.mark.parametrize("kind, n", CLOSED_FORM_STATES)
+def test_search_variance_stays_under_the_variance_bound(kind, n):
+    # No local U beats 2**(n-1) G, so neither does the search's maximizer;
+    # its variance is read with the matrix-free MK operator.
+    for k in range(3):
+        psi, config = closed_form_state(kind, n, k)
+        bound = 2 ** (n - 1)
+        variance_bound = decide(psi, config).certificate.variance_bound
+        assert conjugated_variance(psi, maximize_objective(psi, config).factors) <= variance_bound + 1e-12 * bound
+
+
+def test_certificate_settles_haar_and_product_states_and_leaves_the_shell_open():
+    for n in (2, 3, 4, 5):
+        for seed in range(100):
+            report = decide(random_state(n, 20_000 * n + seed), OptimizerConfig(seed=seed))
+            assert report.certificate.settles == report.verdict == "entangled"
+            assert report.variance <= report.certificate.variance_bound
+    for n in range(2, 7):
+        for seed in range(100):
+            report = decide(random_product_state(n, 10_000 * n + seed), OptimizerConfig(seed=seed))
+            assert report.certificate.settles == report.verdict == "product"
+            assert report.optimizer_metadata.starts == 0
+    for n, seed in ((3, 2), (4, 10)):
+        report = decide(near_product_state(n, seed, 1e-6))
+        assert report.certificate.settles is None
+        assert report.optimizer_metadata.starts == 32
+
+
+def search_verdict(psi):
+    """The verdict read from the maximizer of ``maximize_objective``, with
+    the variance of the matrix-free MK operator."""
+    bound = 2 ** (psi.n - 1)
+    margin = bound - conjugated_variance(psi, maximize_objective(psi).factors)
+    return "entangled" if margin > criterion.DECISION_TAU * bound else "product"
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_a_settled_verdict_is_the_search_verdict(n):
+    # Near-product states phi + sqrt(eps) chi settle on both sides of the
+    # shell; the few that do not run the search anyway.
+    settled = 0
+    for seed in range(10):
+        states = [random_state(n, 30 * n + seed), random_product_state(n, 30 * n + seed)]
+        for psi in states + [near_product_state(n, seed, eps) for eps in (0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)]:
+            report = decide(psi)
+            if report.certificate.settles:
+                settled += 1
+                assert report.verdict == report.certificate.settles == search_verdict(psi)
+    assert settled >= 75
 
 
 # --- the driver on a stub search ---

@@ -17,6 +17,7 @@ from mkvariance import (
     canonical_mk,
     canonical_settings,
     cli,
+    decide,
     ghz,
     generalized_ghz,
     max_mk_mean,
@@ -201,7 +202,8 @@ def test_oversized_qubit_counts_are_rejected_before_allocation(build):
 
 def state_of(n):
     """|0...0> of n qubits; above MAX_QUBITS, where no PureState exists, a
-    stand-in that carries only n, as the searches read nothing else first."""
+    stand-in that carries only n, as the searches and decide read nothing
+    else first."""
     return PureState.basis(n, 0) if n <= MAX_QUBITS else SimpleNamespace(n=n)
 
 
@@ -227,6 +229,8 @@ QUBIT_COUNT_SITES = {
     "generalized_ghz": (2, lambda n, _: generalized_ghz(n, 0.3)),
     "max_mk_mean": (2, lambda n, _: max_mk_mean(state_of(n))),
     "maximize_objective": (2, lambda n, _: maximize_objective(state_of(n))),
+    # decide checks n itself, before its certificate reads the state.
+    "decide": (2, lambda n, _: decide(state_of(n))),
     "cli-decide-read": (2, read_decide),
     "cli-ghz-scan-read": (2, read_ghz_scan),
 }
