@@ -29,9 +29,11 @@ def _chunk(amplitudes: int) -> int:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Seed, start count and sweep cap of the multi-start searches.
+    """Seed, start count and sweep cap of the multi-start searches,
+    ``maximize_objective`` and ``max_mk_mean``.
 
-    ``starts=None`` resolves to max(32, 8n) at run time.
+    ``starts=None`` resolves to max(32, 8n) at run time.  ``decide`` ascends
+    from its witness alone, so only ``max_iterations`` acts on it.
     """
 
     seed: int = 0
@@ -56,8 +58,9 @@ class OptimizerMetadata:
 
     ``starts`` counts the starts, ``best_start`` is the lowest index with
     the best value and ``iterations`` counts its sweeps.  ``identity_value``
-    is the value start 0 ends with; it starts from the identity U in the
-    overlap search and from the canonical settings in the see-saw.
+    is the value start 0 ends with; it starts from the identity U in
+    ``maximize_objective``, from the canonical settings in the see-saw, and
+    from the witness U in ``decide``, whose one start is start 0.
     ``total_sweeps`` adds up the sweeps of all starts, abandoned ones
     included, not the step's evaluations; ``capped_starts`` counts the
     starts that used all ``max_iterations`` sweeps without meeting the

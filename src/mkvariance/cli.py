@@ -123,22 +123,15 @@ def _emit(obj: dict, indent: int | None) -> None:
     print(json.dumps(obj, indent=indent))
 
 
-def _config_from_args(args) -> OptimizerConfig:
-    """The optimizer config of the common options; ValueError if one of
-    them, ``--tau`` included, is out of range."""
+def _read_decide(args) -> tuple[PureState, float]:
     check_tau(args.tau)
-    return OptimizerConfig(seed=args.seed, starts=args.starts)
-
-
-def _read_decide(args) -> tuple[OptimizerConfig, PureState, float]:
-    config = _config_from_args(args)
     psi, deviation = load_state_file(args.state_file)
     qubit_count(psi.n, 2)
-    return config, psi, deviation
+    return psi, deviation
 
 
-def _run_decide(args, config: OptimizerConfig, psi: PureState, deviation: float) -> int:
-    report = decide(psi, config, tau=args.tau)
+def _run_decide(args, psi: PureState, deviation: float) -> int:
+    report = decide(psi, tau=args.tau)
     oracle = is_product_oracle(psi)
     _emit(
         {
@@ -156,7 +149,8 @@ def _read_ghz_scan(args) -> tuple[OptimizerConfig]:
     qubit_count(args.n, 2)
     if args.points < 2:
         raise ValueError("need at least 2 grid points")
-    return (_config_from_args(args),)
+    check_tau(args.tau)
+    return (OptimizerConfig(seed=args.seed, starts=args.starts),)
 
 
 def _run_ghz_scan(args, config: OptimizerConfig) -> int:
@@ -218,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0, help="optimizer seed")
-        p.add_argument("--starts", type=int, default=None, help="optimizer starts (default max(32, 8n))")
         p.add_argument("--tau", type=float, default=DECISION_TAU, help="relative decision threshold")
         p.add_argument("--json-indent", type=int, default=None, help="pretty-print JSON output")
 
@@ -232,6 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--points", type=int, default=21, help="grid points on [0, pi/4]")
     p.add_argument("--compare-mean", action="store_true", help="also maximize the MK mean value")
+    p.add_argument("--seed", type=int, default=0, help="seed of the --compare-mean see-saw's starts")
+    p.add_argument("--starts", type=int, default=None,
+                   help="starts of the --compare-mean see-saw (default max(32, 8n)); decide uses neither option")
     add_common(p)
     p.set_defaults(read=_read_ghz_scan, run=_run_ghz_scan)
 

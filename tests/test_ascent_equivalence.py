@@ -136,7 +136,7 @@ def reference_maximize(psi, cfg):
         if value > best_value + 1e-12:
             best_value, best_xis, best_start = value, xis, start
             best_iterations = len(history) - 1
-    unitary = _phase_fixed(t, np.array([_factor_from_xi(xi) for xi in best_xis]))
+    unitary = _phase_fixed(t, np.array([_factor_from_xi(xi) for xi in best_xis]))[0]
     return unitary, best_value, best_start, best_iterations, identity_value, sweeps, capped
 
 

@@ -55,13 +55,14 @@ def test_decide_product_basis_state(tmp_path, capsys):
 
 
 def test_decide_emits_basin_count_and_convergence(tmp_path, capsys):
-    # A state in the tau shell, so that the search runs: 32 starts of 3 sweeps each.
+    # A state in the tau shell, so that the search runs: one ascent from the witness.
     path = state_file(tmp_path, near_product_state(4, 10, 1e-6))
     code, out, _ = run_cli(capsys, ["decide", path])
     assert code == 0
     optimizer = json.loads(out)["decision"]["optimizer"]
-    assert optimizer["total_sweeps"] > optimizer["starts"] == 32
-    assert optimizer["starts_at_best"] == 32
+    assert optimizer["starts"] == optimizer["starts_at_best"] == 1
+    assert optimizer["best_start"] == 0
+    assert optimizer["total_sweeps"] >= 1
     assert optimizer["converged"] is True
 
 
@@ -82,8 +83,9 @@ sys.exit(code)
 
 
 def test_decide_process_does_not_import_numpy_random(tmp_path):
-    # The overlap search draws its starts from Python's random module, so a
-    # decide process never pays numpy.random's import (about 6 MB of RSS).
+    # decide draws no random start, and the overlap search draws its starts
+    # from Python's random module, so a decide process never pays
+    # numpy.random's import (about 6 MB of RSS).
     path = state_file(tmp_path, random_state(4, 2))
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -245,15 +247,13 @@ def test_load_state_file_rejects_non_integer_n(tmp_path):
         load_state_file(str(path))
 
 
-BAD_OPTIONS = [
-    pytest.param(["--starts", "0"], "starts", id="starts-0"),
-    pytest.param(["--seed", "-1"], "seed", id="seed-neg"),
+BAD_TAUS = [
     pytest.param(["--tau", "-1"], "tau", id="tau-neg"),
     pytest.param(["--tau", "nan"], "tau", id="tau-nan"),
 ]
 
 
-@pytest.mark.parametrize("option, word", BAD_OPTIONS)
+@pytest.mark.parametrize("option, word", BAD_TAUS)
 def test_decide_rejects_bad_option(tmp_path, capsys, option, word):
     path = state_file(tmp_path, generalized_ghz(3, math.pi / 8))
     code, out, err = run_cli(capsys, ["decide", path] + option)
@@ -261,6 +261,16 @@ def test_decide_rejects_bad_option(tmp_path, capsys, option, word):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert word in err
+
+
+@pytest.mark.parametrize("option", [["--seed", "0"], ["--starts", "4"]], ids=["seed", "starts"])
+def test_decide_has_no_optimizer_options(tmp_path, capsys, option):
+    # decide ascends from its witness alone; only ghz-scan's see-saw takes a seed or a start count.
+    path = state_file(tmp_path, generalized_ghz(3, math.pi / 8))
+    with pytest.raises(SystemExit) as stop:
+        main(["decide", path] + option)
+    assert stop.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_state_file_round_trip(tmp_path):
@@ -313,7 +323,9 @@ def test_ghz_scan_rejects_bad_n(capsys):
     assert "n must be" in err
 
 
-@pytest.mark.parametrize("option, word", BAD_OPTIONS + [
+@pytest.mark.parametrize("option, word", BAD_TAUS + [
+    pytest.param(["--starts", "0"], "starts", id="starts-0"),
+    pytest.param(["--seed", "-1"], "seed", id="seed-neg"),
     pytest.param(["--points", "1"], "at least 2 grid points", id="points-1"),
     pytest.param(["--points", "0"], "at least 2 grid points", id="points-0"),
 ])

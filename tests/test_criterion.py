@@ -9,7 +9,7 @@ two-qubit singlet.
 import functools
 import math
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -31,7 +31,7 @@ from mkvariance import (
 from mkvariance import ascent, bell, criterion
 from mkvariance.ascent import VALUE_TOLERANCE, _ascend_batch
 from mkvariance.cli import decision_json
-from mkvariance.criterion import _objective, _overlaps, _phase_fixed, _rows, _sweep
+from mkvariance.criterion import _end_values, _objective, _overlaps, _phase_fixed, _rows, _sweep
 from mkvariance.oracle import random_product_factors
 
 from overlap_reference import (
@@ -176,7 +176,7 @@ def test_objective_bounded_by_one():
 def test_phase_fix_leaves_nonnegative_overlaps_alone():
     psi = generalized_ghz(3, 0.4)
     rows = identity_unitary(3)
-    for before, after in zip(rows, _phase_fixed(psi.amplitudes, rows)):
+    for before, after in zip(rows, _phase_fixed(psi.amplitudes, rows)[0]):
         np.testing.assert_array_equal(before, after)
 
 
@@ -188,7 +188,7 @@ def test_phase_fix_rotates_overlaps_nonnegative():
     amps[-1] = 0.8j
     psi = PureState(amps)
     identity = identity_unitary(3)
-    fixed = _phase_fixed(psi.amplitudes, identity)
+    fixed = _phase_fixed(psi.amplitudes, identity)[0]
     rotated = rotate(psi, fixed)
     assert rotated[0] == pytest.approx(0.6, abs=1e-14)
     assert rotated[-1] == pytest.approx(0.8, abs=1e-14)
@@ -202,7 +202,7 @@ def test_phase_fix_preserves_objective():
     for _ in range(10):
         psi = random_state(3, int(rng.integers(2**31)))
         unitary = random_local_unitary(rng, 3)
-        fixed = _phase_fixed(psi.amplitudes, unitary)
+        fixed = _phase_fixed(psi.amplitudes, unitary)[0]
         assert objective(psi, fixed) == pytest.approx(objective(psi, unitary), abs=1e-14)
         rotated = rotate(psi, fixed)
         assert rotated[0].real >= -1e-12 and abs(rotated[0].imag) < 1e-12
@@ -432,10 +432,12 @@ def test_decide_report_serializes():
                                    "settles": "entangled"}
     assert data["optimizer"] == {"starts": 0, "iterations": 0, "best_start": 0, "identity_value": 0.0,
                                  "total_sweeps": 0, "capped_starts": 0, "starts_at_best": 0, "converged": False}
-    # A state in the tau shell runs the search with the configured starts.
+    # A state in the tau shell ascends from the witness alone, whatever starts are configured.
     data = decision_json(decide(near_product_state(3, 2, 1e-6), OptimizerConfig(seed=0, starts=4)))
     assert data["certificate"]["settles"] is None
-    assert data["optimizer"]["starts"] == 4
+    assert data["optimizer"]["starts"] == data["optimizer"]["starts_at_best"] == 1
+    assert data["optimizer"]["best_start"] == 0
+    assert data["optimizer"]["converged"] is True
 
 
 def test_decide_report_invariants_on_random_states():
@@ -701,11 +703,16 @@ def test_run_record_counts_capped_starts():
 
 
 def test_decide_report_serializes_run_record():
-    # A state in the tau shell, so that the search runs.
+    # A state in the tau shell, so that the ascent from the witness runs.  It
+    # stops on its tolerance after one sweep, so a cap of 1 does not cap it;
+    # maximize_objective's capping is covered by the two run-record tests
+    # around this one.
     report = decide(near_product_state(3, 2, 1e-6), OptimizerConfig(seed=0, max_iterations=1))
     optimizer = decision_json(report)["optimizer"]
-    assert optimizer["total_sweeps"] == report.optimizer_metadata.total_sweeps == 32
-    assert optimizer["capped_starts"] == report.optimizer_metadata.capped_starts > 0
+    assert optimizer == asdict(report.optimizer_metadata)
+    assert optimizer["starts"] == optimizer["starts_at_best"] == optimizer["total_sweeps"] == 1
+    assert optimizer["best_start"] == optimizer["capped_starts"] == 0
+    assert optimizer["converged"] is True
 
 
 def test_run_record_counts_every_haar_start_at_the_best_value():
@@ -776,10 +783,14 @@ def test_certificate_settles_haar_and_product_states_and_leaves_the_shell_open()
             report = decide(random_product_state(n, 10_000 * n + seed), OptimizerConfig(seed=seed))
             assert report.certificate.settles == report.verdict == "product"
             assert report.optimizer_metadata.starts == 0
+            assert report.alpha >= 0 and report.beta >= 0
     for n, seed in ((3, 2), (4, 10)):
         report = decide(near_product_state(n, seed, 1e-6))
         assert report.certificate.settles is None
-        assert report.optimizer_metadata.starts == 32
+        meta = report.optimizer_metadata
+        assert meta.starts == meta.starts_at_best == 1
+        assert meta.best_start == 0
+        assert meta.converged is True
 
 
 def search_verdict(psi):
@@ -803,6 +814,111 @@ def test_a_settled_verdict_is_the_search_verdict(n):
                 settled += 1
                 assert report.verdict == report.certificate.settles == search_verdict(psi)
     assert settled >= 75
+
+
+def test_a_settled_decide_reads_the_overlaps_once(monkeypatch):
+    # The phase fix's one contraction gives the objective, alpha, beta and
+    # the variance; nothing contracts psi with the witness again.
+    calls = []
+    monkeypatch.setattr(criterion, "_overlaps", lambda *args: calls.append(1) or _overlaps(*args))
+    for psi, settles in ((random_state(5, 1), "entangled"), (random_product_state(5, 1), "product")):
+        calls.clear()
+        assert decide(psi).certificate.settles == settles
+        assert calls == [1]
+
+
+@pytest.mark.parametrize("kind", ["haar", "product", "ghz", "near-product"])
+def test_the_certificate_agrees_with_the_purity_oracle(kind):
+    # An "entangled" settlement has 1 - G > tau, so some purity is below
+    # 1 - 2 tau (1 - tau) < 1 - ORACLE_EPSILON; an oracle "product" has every
+    # 1 - lambda_j below about 5e-10, so the witness margin is at most about
+    # 5 n 5e-10 of the bound, far inside tau.
+    states = []
+    for n in range(2, 9):
+        for k in range(6):
+            if kind == "haar":
+                states.append(random_state(n, 40 * n + k))
+            elif kind == "product":
+                states.append(random_product_state(n, 40 * n + k))
+            elif kind == "ghz":
+                states += [generalized_ghz(n, phi) for phi in (0.0, 1e-6, 1e-5, 1e-4, 1e-3, (k + 1) * math.pi / 32)]
+            else:
+                states += [near_product_state(n, k, eps) for eps in (0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-4)]
+    seen = set()
+    for psi in states:
+        settles, product = decide(psi).certificate.settles, is_product_oracle(psi).is_product
+        if settles == "entangled":
+            assert not product
+        if product:
+            assert settles == "product"
+        seen.add((settles, product))
+    if kind == "haar":
+        assert seen == {("entangled", False)}
+    else:
+        assert ("product", True) in seen
+
+
+# --- the tau shell: one ascent from the witness ---
+
+
+@functools.cache
+def shell_states():
+    """The states psi proportional to phi + 1e-3 chi (``near_product_state``
+    at eps = 1e-6) at n = 3, 4 and seeds 0-199 whose certificate settles
+    nothing: 126 of the 400."""
+    candidates = [near_product_state(n, seed, 1e-6) for n in (3, 4) for seed in range(200)]
+    return tuple(psi for psi in candidates if decide(psi).certificate.settles is None)
+
+
+def test_a_shell_verdict_is_the_search_verdict():
+    # maximize_objective, the full multi-start solver, is the reference: the
+    # one ascent from the witness reaches its value and its verdict.  The
+    # witness already sits at the maximum to the tolerance, so that ascent
+    # stops after one sweep; from the identity it takes three.
+    assert len(shell_states()) == 126
+    for psi in shell_states():
+        report = decide(psi)
+        assert report.optimizer_metadata.starts == report.optimizer_metadata.total_sweeps == 1
+        assert abs(report.objective_value - maximize_objective(psi).value) <= 1e-12
+        assert report.verdict == search_verdict(psi)
+
+
+def test_forced_sweeps_past_the_shell_ascent_leave_the_variance(monkeypatch):
+    # 200 more sweeps from decide's end point, with no stopping rule, move
+    # the phase-fixed variance by at most 1e-10 of the bound.
+    ends = []
+    monkeypatch.setattr(criterion, "_ascend_batch",
+                        lambda *args: ends.append(args[3]) or _ascend_batch(*args))
+    for psi in shell_states():
+        ends.clear()
+        report = decide(psi)
+        (rows,) = ends
+        assert rows.shape[0] == 1
+        for _ in range(200):
+            rows, _ = _sweep(psi.amplitudes, rows)
+        _, delta = _end_values(*_phase_fixed(psi.amplitudes, rows[0])[1:], report.bound)
+        assert abs(delta - report.variance) <= 1e-10 * report.bound
+
+
+def test_a_shell_report_does_not_depend_on_the_seed_or_the_start_count():
+    for psi in shell_states()[::25]:
+        report = decide(psi)
+        for seed in (0, 1, 7):
+            for starts in (None, 1, 4, 50):
+                assert decide(psi, OptimizerConfig(seed=seed, starts=starts)) == report
+
+
+def test_decide_never_runs_the_multi_start_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("decide ran maximize_objective")
+
+    monkeypatch.setattr(criterion, "maximize_objective", refuse)
+    for n in (2, 4, 8):
+        for seed in range(5):
+            assert decide(random_state(n, seed)).verdict == "entangled"
+            assert decide(random_product_state(n, seed)).verdict == "product"
+    for psi in shell_states()[::10]:
+        assert decide(psi).certificate.settles is None
 
 
 # --- the driver on a stub search ---
