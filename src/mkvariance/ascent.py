@@ -7,7 +7,6 @@ lowest-index best and builds either search's run record.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +60,12 @@ class OptimizerMetadata:
     is the value start 0 ends with; it starts from the identity U in
     ``maximize_objective``, from the canonical settings in the see-saw, and
     from the witness U in ``decide``, whose one start is start 0.
-    ``total_sweeps`` adds up the sweeps of all starts, abandoned ones
-    included, not the step's evaluations; ``capped_starts`` counts the
+    Every start runs until it stops.  ``total_sweeps`` adds up the sweeps
+    of all starts, not the step's evaluations; ``capped_starts`` counts the
     starts that used all ``max_iterations`` sweeps without meeting the
-    tolerance.  ``starts_at_best``, the basin count, counts the stopped
-    starts within 1e-9 of the best value, not those abandoned at the ceiling
-    (only the overlap search has one) or in chunks that never ran;
-    ``converged`` says that the best start met the tolerance before the cap.
+    tolerance.  ``starts_at_best``, the basin count, counts the starts
+    within 1e-9 of the best value; ``converged`` says that the best start
+    met the tolerance before the cap.
     """
 
     starts: int
@@ -81,7 +79,7 @@ class OptimizerMetadata:
 
 
 def _ascend_batch(
-    evaluate, sweep, retract, params: np.ndarray, cfg: OptimizerConfig, chunk: int, ceiling: float = math.inf,
+    evaluate, sweep, retract, params: np.ndarray, cfg: OptimizerConfig, chunk: int,
 ) -> tuple[np.ndarray, np.ndarray, OptimizerMetadata]:
     """The multi-start driver of both block ascents.
 
@@ -99,19 +97,17 @@ def _ascend_batch(
     ``VALUE_TOLERANCE``, so no start's value falls.  lam starts at 1 and is
     kept per start: times 1.5 after a kept step, halved down to 1 after a
     rejected one (Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl. 30,
-    1128 (2008)).  Sweep counts leave out these evaluations.  The best start
-    is the lowest index among those whose values agree to 1e-12, carried
-    along as starts stop; once it exceeds ``ceiling`` the starts still
-    ascending are abandoned with the sweeps they ran and later chunks never
-    run.  A chunk whose starting values are not all finite (NaN amplitudes)
-    raises ``ValueError`` before its first sweep; a finite start stays
-    finite.  Returns each start's value and sweep count, and the run record.
+    1128 (2008)).  Sweep counts leave out these evaluations.  Once every
+    start has stopped, the best start is the lowest index among those whose
+    values agree to 1e-12.  A chunk whose starting values are not all finite
+    (NaN amplitudes) raises ``ValueError`` before its first sweep; a finite
+    start stays finite.  Returns each start's value and sweep count, and the
+    run record.
     """
     starts = len(params)
     values = np.zeros(starts)
     sweeps = np.zeros(starts, dtype=int)
-    unfinished = np.zeros(starts, dtype=bool)
-    best = settled = 0
+    capped = np.zeros(starts, dtype=bool)
     for lo in range(0, starts, chunk):
         part, vals, counts = params[lo:lo + chunk], values[lo:lo + chunk], sweeps[lo:lo + chunk]
         vals[:] = evaluate(part)
@@ -126,21 +122,14 @@ def _ascend_batch(
             done = value - current < VALUE_TOLERANCE
             current = value
             if sweep_count == cfg.max_iterations:
-                unfinished[lo + index[~done]] = True
+                capped[lo + index[~done]] = True
                 done[:] = True
             if done.any():
                 stops, going = index[done], ~done
                 part[stops], vals[stops], counts[stops] = x[done], current[done], sweep_count
                 index, current, lam = index[going], current[going], lam[going]
                 x, previous = x[going], previous[going]
-                # The starts before the first one still ascending have stopped;
-                # the best is final only once one has.
-                stopped = lo + (index[0] if index.size else len(vals))
-                for k in range(settled, stopped):
-                    if values[k] > values[best] + 1e-12:
-                        best = k
-                settled = stopped
-                if index.size == 0 or (settled and values[best] > ceiling):
+                if index.size == 0:
                     break
             if sweep_count >= 11 and sweep_count % 2:
                 candidate = retract(x + lam.reshape(-1, *[1] * (x.ndim - 1)) * (x - previous))
@@ -149,19 +138,17 @@ def _ascend_batch(
                 x[kept] = candidate[kept]
                 current = np.where(kept, trial, current)
                 lam = np.where(kept, 1.5 * lam, np.maximum(lam / 2, 1.0))
-        # Starts still ascending here were abandoned at the ceiling.
-        part[index], vals[index], counts[index] = x, current, sweep_count
-        unfinished[lo + index] = True
-        if values[best] > ceiling:
-            break
-    abandoned = unfinished & (sweeps < cfg.max_iterations)  # a capped start ran all its sweeps
+    best = 0
+    for k in range(1, starts):
+        if values[k] > values[best] + 1e-12:
+            best = k
     return values, sweeps, OptimizerMetadata(
         starts=starts,
         iterations=int(sweeps[best]),
         best_start=best,
         identity_value=float(values[0]),
         total_sweeps=int(sweeps.sum()),
-        capped_starts=int(np.sum(unfinished & ~abandoned)),
-        starts_at_best=int(np.sum((sweeps > 0) & ~abandoned & (np.abs(values - values[best]) <= 1e-9))),
-        converged=not unfinished[best],
+        capped_starts=int(capped.sum()),
+        starts_at_best=int(np.sum(np.abs(values - values[best]) <= 1e-9)),
+        converged=not capped[best],
     )

@@ -285,9 +285,9 @@ def max_mk_mean(psi: PureState, config: OptimizerConfig | None = None) -> MKMean
     update is exact (see ``_sweep``).  Start 0 is the canonical fan, start 1
     the all-z axial configuration, the rest are seeded random directions; each
     is one (n, 3) row z_j = a_j + i a'_j, a copy of ``_start_directions``.
-    The starts run on ``ascent._ascend_batch`` with no ceiling and with
-    ``_retract`` for the extrapolation step, in chunks of 2**18 // (n 2**n),
-    which bounds the cached kets.  The result is the driver's run record,
+    The starts run on ``ascent._ascend_batch`` with ``_retract`` for the
+    extrapolation step, in chunks of 2**18 // (n 2**n), which bounds the
+    cached kets.  The result is the driver's run record,
     ``starts_at_best`` included, with the best settings and value.  NaN
     amplitudes raise ``ValueError`` there, before any sweep.
     """

@@ -32,9 +32,8 @@ tests hold ``decide`` against it.  The batch holds each factor U_j as its
 rows and updates them in place.  A sweep builds the Kronecker products of the
 rows of the qubits still to be updated once, and carries the state contracted
 with the rows already updated, so it costs O(S 2**n) for S starts.  The starts
-run on ``ascent._ascend_batch`` in chunks of 2**18 // 2**n, and the search
-ends early, with the same result, once the best of the stopped starts reaches
-the objective's ceiling 1: no later start can beat it.
+run on ``ascent._ascend_batch`` in chunks of 2**18 // 2**n, and every start
+runs until it stops, so the run record counts all of them.
 """
 
 from __future__ import annotations
@@ -136,11 +135,6 @@ def variance(psi: PureState, op) -> float:
 # overlap, component]; a block update writes one qubit's rows in place.
 # ---------------------------------------------------------------------------
 
-# No objective exceeds 1 by more than roundoff, so a tie-rule best above
-# this value cannot be displaced by any later start.
-_CEILING = 1.0 - 5e-13
-
-
 def _rows(xis: np.ndarray) -> np.ndarray:
     """The factors U_j for xis of shape (..., 2), as arrays of shape (..., 2, 2)."""
     return np.stack([xis.conj(), np.stack([-xis[..., 1], xis[..., 0]], axis=-1)], axis=-2)
@@ -239,10 +233,9 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
     ``random.Random(seed).random()``, n thetas then n chis per start; Python
     keeps that stream the same in every version, so a seed gives the same
     starts whatever numpy is installed.  The starts run on
-    ``ascent._ascend_batch`` with ``_retract`` for the extrapolation step
-    and the ceiling 1 - 5e-13, since no objective exceeds 1 beyond
-    roundoff; the metadata is the driver's ``OptimizerMetadata``.  NaN
-    amplitudes raise ``ValueError`` there, before any sweep.
+    ``ascent._ascend_batch`` with ``_retract`` for the extrapolation step;
+    the metadata is the driver's ``OptimizerMetadata``.  NaN amplitudes
+    raise ``ValueError`` there, before any sweep.
     """
     cfg = config if config is not None else OptimizerConfig()
     n = qubit_count(psi.n, 2)
@@ -257,7 +250,7 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
     rows = _rows(np.stack([np.cos(thetas / 2), np.exp(1j * chis) * np.sin(thetas / 2)], axis=-1))
     t = psi.amplitudes
     values, _, meta = _ascend_batch(
-        lambda r: _objective(t, r), lambda r: _sweep(t, r), _retract, rows, cfg, _chunk(2**n), _CEILING)
+        lambda r: _objective(t, r), lambda r: _sweep(t, r), _retract, rows, cfg, _chunk(2**n))
     return ObjectiveResult(
         factors=_phase_fixed(t, rows[meta.best_start])[0], value=float(values[meta.best_start]), metadata=meta)
 
@@ -353,7 +346,7 @@ def decide(
     if settles is None:
         rows = witness[None].copy()
         _, _, meta = _ascend_batch(lambda r: _objective(t, r), lambda r: _sweep(t, r), _retract, rows,
-                                   config or OptimizerConfig(), 1, _CEILING)
+                                   config or OptimizerConfig(), 1)
         _, a, b = _phase_fixed(t, rows[0])
         value, delta = _end_values(a, b, bound)
     margin = bound - delta

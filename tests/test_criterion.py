@@ -573,7 +573,7 @@ def test_maximize_objective_memory_is_chunked():
     assert peak < 64 * 2**20
 
 
-# --- closed-form variance and the ceiling exit ---
+# --- closed-form variance and the run record ---
 
 
 CLOSED_FORM_STATES = (
@@ -608,21 +608,40 @@ def test_maximizer_factors_are_a_read_only_local_unitary(kind, n):
         assert np.all(np.abs(overlaps.imag) <= 1e-15) and np.all(overlaps.real >= -1e-15)
 
 
-@pytest.mark.parametrize("kind, n", CLOSED_FORM_STATES)
-def test_decide_variance_matches_matrix_free_operator(kind, n):
+@pytest.mark.parametrize("kind, n", CLOSED_FORM_STATES + [pytest.param("shell", None, id="shell")])
+def test_decide_variance_matches_matrix_free_operator(kind, n, monkeypatch):
     # decide's variance comes from the two end overlaps alone; the
     # reference applies the canonical MK operator matrix-free, at the U the
-    # report used: the witness when the certificate settles, else the
-    # search's maximizer.
-    for k in range(3):
-        psi, config = closed_form_state(kind, n, k)
+    # report used: the witness when the certificate settles, else the end
+    # point of the ascent from the witness, read from a spy on the driver.
+    ends = []
+    monkeypatch.setattr(criterion, "_ascend_batch", lambda *args: ends.append(args[3]) or _ascend_batch(*args))
+    if kind == "shell":
+        cases = [(psi, None) for psi in shell_states()[::10]]
+    else:
+        cases = [closed_form_state(kind, n, k) for k in range(3)]
+    for psi, config in cases:
+        ends.clear()
         report = decide(psi, config)
+        bound = report.bound
+        assert (report.certificate.settles is None) == (kind == "shell")
         if report.certificate.settles:
             unitary = criterion._witness(psi)[0]
         else:
-            unitary = maximize_objective(psi, config).factors
+            (rows,) = ends
+            unitary = _phase_fixed(psi.amplitudes, rows[0])[0]
+            # The multi-start maximizer may be the all-qubit flip of that end
+            # point, which swaps alpha and beta and leaves the variance: it
+            # must give the same variance and the same unordered pair.  The
+            # two are different points, so the pair agrees only as well as
+            # the objective values do (1e-12, as in
+            # test_a_shell_verdict_is_the_search_verdict).
+            factors = maximize_objective(psi, config).factors
+            assert abs(report.variance - conjugated_variance(psi, factors)) <= 1e-12 * bound
+            ends_of_search = sorted(rotate(psi, factors)[[0, -1]].real)
+            assert np.allclose(sorted([report.alpha, report.beta]), ends_of_search, rtol=0, atol=1e-12)
         expected = conjugated_variance(psi, unitary)
-        assert abs(report.variance - expected) <= 1e-12 * 2 ** (n - 1)
+        assert abs(report.variance - expected) <= 1e-12 * bound
         # alpha and beta come from the search's own contraction; the
         # reference applies U gate by gate.  Both compare as complex numbers,
         # so the reference's imaginary parts must vanish too.
@@ -637,36 +656,28 @@ def test_decide_builds_no_mk_operator():
     assert canonical_mk.cache_info().currsize == 0
 
 
-def test_ceiling_exit_stops_after_the_identity_start_converges():
-    # Start 0 reaches objective 1 in two sweeps; every other start is
-    # abandoned there at the latest.
+def test_product_state_search_averages_at_most_two_sweeps_per_start():
+    # Start 0 reaches objective 1 in two sweeps, and on this product state
+    # the random starts take no more on average.
     result = maximize_objective(random_product_state(8, 21))
     assert result.metadata.best_start == 0
     assert result.metadata.total_sweeps <= 2 * result.metadata.starts
     assert result.metadata.capped_starts == 0
 
 
-def test_ceiling_exit_abandons_the_starts_still_ascending():
-    # On generalized GHZ the identity start is already at objective 1 and
-    # stops after one sweep, so the random starts are abandoned after theirs.
-    result = maximize_objective(generalized_ghz(5, 0.3))
-    assert result.metadata.best_start == 0
-    assert result.metadata.iterations == 1
-    assert result.metadata.total_sweeps == result.metadata.starts == 40
-    assert result.metadata.capped_starts == 0
-
-
-def test_ceiling_exit_skips_later_chunks():
-    # n = 12 takes 96 starts in chunks of 64: the second chunk never runs.
-    result = maximize_objective(random_product_state(12, 22))
-    assert result.metadata.starts == 96
-    assert result.metadata.total_sweeps <= 128
+def test_every_start_on_generalized_ghz_reaches_the_best_value():
+    # The identity start is already at objective 1 and stops after one
+    # sweep; every random start runs on to the same value.
+    meta = maximize_objective(generalized_ghz(5, 0.3)).metadata
+    assert meta.best_start == 0 and meta.iterations == 1
+    assert meta.starts_at_best == meta.starts == 40
+    assert meta.capped_starts == 0
 
 
 def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
     # Chunks of 2**6 amplitudes hold 4 starts of the ascent and 1 of the
-    # see-saw at n = 4, so the tie-rule best is carried across chunk
-    # boundaries, and on product states the ceiling exit skips later chunks.
+    # see-saw at n = 4, so the tie-rule best is chosen over starts from
+    # several chunks, and the run records count the starts of every chunk.
     # The see-saw caps every start of these Haar states at 10 sweeps; at the
     # default 300, every start of seed 4 stops on a tolerance.  Results do
     # not show the chunk, so spies on both searches' ``_ascend_batch``
@@ -677,8 +688,7 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
             cfg = OptimizerConfig(seed=seed)
             haar = maximize_objective(random_state(4, seed), cfg)
             product = maximize_objective(random_product_state(4, seed), cfg)
-            records.append((haar.value, astuple(haar.metadata),
-                            product.value, product.metadata.best_start, product.metadata.iterations))
+            records.append((haar.value, astuple(haar.metadata), product.value, astuple(product.metadata)))
         for seed, cap in [*((seed, 10) for seed in range(6)), (4, 300)]:
             mean = max_mk_mean(random_state(4, seed), OptimizerConfig(seed=seed, max_iterations=cap))
             records.append((mean.value, mean.best_start, mean.iterations, mean.total_sweeps, mean.capped_starts))
@@ -746,15 +756,13 @@ def test_run_record_on_a_product_state_is_converged():
     assert meta.converged is True
 
 
-def test_basin_count_leaves_out_abandoned_and_unrun_starts():
-    # Generalized GHZ: start 0 is at objective 1 after its first sweep and
-    # every other start is abandoned there.
-    meta = maximize_objective(generalized_ghz(5, 0.3)).metadata
-    assert meta.total_sweeps == meta.starts == 40
-    assert meta.starts_at_best == 1
-    # n = 12 runs only the first chunk of 64 of its 96 starts.
+def test_basin_count_counts_the_starts_of_every_chunk():
+    # n = 12 runs its 96 starts in chunks of 64, and every start of this
+    # product state ends at the best value, so the count reaches past the
+    # first chunk.
     meta = maximize_objective(random_product_state(12, 22)).metadata
-    assert 1 <= meta.starts_at_best <= 64
+    assert meta.starts_at_best == meta.starts == 96
+    assert meta.total_sweeps >= 96
     assert meta.converged is True
 
 
@@ -879,7 +887,11 @@ def test_a_shell_verdict_is_the_search_verdict():
     for psi in shell_states():
         report = decide(psi)
         assert report.optimizer_metadata.starts == report.optimizer_metadata.total_sweeps == 1
-        assert abs(report.objective_value - maximize_objective(psi).value) <= 1e-12
+        reference = maximize_objective(psi)
+        assert abs(report.objective_value - reference.value) <= 1e-12
+        # Step 4's basin evidence in decide's docstring: every start of the
+        # multi-start search ends at the best value.
+        assert reference.metadata.starts_at_best == reference.metadata.starts
         assert report.verdict == search_verdict(psi)
 
 
@@ -950,12 +962,13 @@ def test_driver_keeps_the_lowest_index_among_values_within_1e12(chunk):
     assert meta.best_start == 0
 
 
-def test_driver_skips_the_chunks_after_the_ceiling():
-    values, sweeps, meta = _ascend_batch(*table_search([0.2, 1.0, 0.3, 0.4]), OptimizerConfig(), 1, 0.99)
+def test_driver_runs_every_chunk():
+    # Start 1 already holds the best value a table can reach; the chunks
+    # after it run all the same.
+    values, sweeps, meta = _ascend_batch(*table_search([0.2, 1.0, 0.3, 0.4]), OptimizerConfig(), 1)
     assert meta.best_start == 1
-    assert meta.total_sweeps == 2
-    assert list(sweeps) == [1, 1, 0, 0] and list(values) == [0.2, 1.0, 0.0, 0.0]
-    assert meta.starts == 4 and meta.starts_at_best == 1
+    assert list(sweeps) == [1, 1, 1, 1] and list(values) == [0.2, 1.0, 0.3, 0.4]
+    assert meta.starts == 4 and meta.total_sweeps == 4 and meta.starts_at_best == 1
 
 
 def test_driver_flags_every_start_that_gains_up_to_the_cap():

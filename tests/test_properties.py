@@ -138,7 +138,7 @@ def ascend(evaluate, sweep, params, cap, retract):
     results and the final params."""
     params = params.copy()
     results = ascent._ascend_batch(
-        evaluate, sweep, retract, params, OptimizerConfig(max_iterations=cap), len(params), criterion._CEILING)
+        evaluate, sweep, retract, params, OptimizerConfig(max_iterations=cap), len(params))
     return results + (params,)
 
 
