@@ -9,10 +9,9 @@ look like
     {"n": 3, "pairs": [{"a": [x, y, z], "a_prime": [x, y, z]}, ...]}  (n pairs)
 
 The `decide` command prints the report's fields and encodes its verdict in
-the exit code: 0 entangled, 1 product, 2 input error.  Each command has a
-read step, which parses and checks its options and files, and a run step,
-which computes.  `main` guards only the read step: an input error prints
-one line and exits 2.
+the exit code: 0 entangled, 1 product, 2 input error.  A command prints its
+whole report or nothing: `main` turns any exception a command raises into
+one `error:` line on stderr and exit 2, with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -33,17 +32,13 @@ from .bell import (
     generalized_ghz,
     max_mk_mean,
 )
-from .criterion import DECISION_TAU, DecisionReport, OptimizerConfig, check_tau, decide, variance
+from .criterion import DECISION_TAU, DecisionReport, OptimizerConfig, decide, variance
 from .linalg import DENSE_QUBIT_CAP, PureState, qubit_count
 from .oracle import is_product_oracle
 
 EXIT_ENTANGLED = 0
 EXIT_PRODUCT = 1
 EXIT_INPUT_ERROR = 2
-
-# What reading outside input may raise: a missing file, malformed JSON, a value
-# out of range, or nesting past the recursion limit.  Nothing else is caught.
-INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError)
 
 
 def _object_with(data, what: str, *keys: str) -> dict:
@@ -123,14 +118,8 @@ def _emit(obj: dict, indent: int | None) -> None:
     print(json.dumps(obj, indent=indent))
 
 
-def _read_decide(args) -> tuple[PureState, float]:
-    check_tau(args.tau)
+def _decide(args) -> int:
     psi, deviation = load_state_file(args.state_file)
-    qubit_count(psi.n, 2)
-    return psi, deviation
-
-
-def _run_decide(args, psi: PureState, deviation: float) -> int:
     report = decide(psi, tau=args.tau)
     oracle = is_product_oracle(psi)
     _emit(
@@ -145,22 +134,18 @@ def _run_decide(args, psi: PureState, deviation: float) -> int:
     return EXIT_ENTANGLED if report.verdict == "entangled" else EXIT_PRODUCT
 
 
-def _read_ghz_scan(args) -> tuple[OptimizerConfig]:
-    qubit_count(args.n, 2)
+def _ghz_scan(args) -> int:
+    op = canonical_mk(args.n)
     if args.points < 2:
         raise ValueError("need at least 2 grid points")
-    check_tau(args.tau)
-    return (OptimizerConfig(seed=args.seed, starts=args.starts),)
-
-
-def _run_ghz_scan(args, config: OptimizerConfig) -> int:
-    op = canonical_mk(args.n)
+    # Built up front, so that a bad --seed or --starts is refused without --compare-mean too.
+    config = OptimizerConfig(seed=args.seed, starts=args.starts)
     rows = []
     for phi in np.linspace(0.0, math.pi / 4, args.points):
         psi = generalized_ghz(args.n, float(phi))
         delta = variance(psi, op)
         closed_form = 2 ** (args.n - 1) * math.cos(2 * phi) ** 2
-        report = decide(psi, config, tau=args.tau)
+        report = decide(psi, tau=args.tau)
         row = {
             "phi": float(phi),
             "variance": delta,
@@ -175,26 +160,20 @@ def _run_ghz_scan(args, config: OptimizerConfig) -> int:
     return 0
 
 
-def _read_mk_op(args) -> tuple[MeasurementSettings]:
+def _mk_op(args) -> int:
     if (args.settings_file is None) == (args.canonical is None):
         raise ValueError("provide exactly one of a settings file and --canonical n")
     if args.canonical is not None:
         settings = canonical_settings(args.canonical)
     else:
         settings = load_settings_file(args.settings_file)
-    if args.dump_matrix and settings.n > DENSE_QUBIT_CAP:
-        raise ValueError(f"dense dump is only available for n <= {DENSE_QUBIT_CAP}")
-    return (settings,)
-
-
-def _run_mk_op(args, settings: MeasurementSettings) -> int:
     op = MKOperator(settings)
     out: dict = {
         "n": settings.n,
         "norm_bound": float(2 ** ((settings.n - 1) / 2)),
         "settings": settings_json(settings),
     }
-    if settings.n <= DENSE_QUBIT_CAP:
+    if settings.n <= DENSE_QUBIT_CAP or args.dump_matrix:  # dense() refuses a dump above the cap
         matrix = op.dense()
         out["eigenvalues"] = sorted((float(x) for x in np.linalg.eigvalsh(matrix)), reverse=True)
     out["max_abs_eigenvalue"] = op.operator_norm()
@@ -218,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="decide whether a state file is entangled")
     p.add_argument("state_file")
     add_common(p)
-    p.set_defaults(read=_read_decide, run=_run_decide)
+    p.set_defaults(run=_decide)
 
     p = sub.add_parser("ghz-scan", help="sweep the generalized-GHZ family")
     p.add_argument("--n", type=int, required=True)
@@ -228,14 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=int, default=None,
                    help="starts of the --compare-mean see-saw (default max(32, 8n)); decide uses neither option")
     add_common(p)
-    p.set_defaults(read=_read_ghz_scan, run=_run_ghz_scan)
+    p.set_defaults(run=_ghz_scan)
 
     p = sub.add_parser("mk-op", help="operator norm and spectrum of an MK operator")
     p.add_argument("settings_file", nargs="?", default=None)
     p.add_argument("--canonical", type=int, default=None, metavar="N", help="use canonical settings")
     p.add_argument("--dump-matrix", action="store_true", help="include full matrix entries")
     p.add_argument("--json-indent", type=int, default=None)
-    p.set_defaults(read=_read_mk_op, run=_run_mk_op)
+    p.set_defaults(run=_mk_op)
 
     return parser
 
@@ -243,11 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        inputs = args.read(args)
-    except INPUT_ERRORS as exc:
+        return args.run(args)
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    return args.run(args, *inputs)
 
 
 if __name__ == "__main__":  # pragma: no cover

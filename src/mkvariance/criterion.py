@@ -23,8 +23,8 @@ overlaps from one contraction, ``_overlaps``, of psi with the rows of U, and
 the verdict reads its values from that same call.  The maximizer is returned
 as its factors U_1, ..., U_n, one read-only (n, 2, 2) array; each factor is
 built from a unit row, so it is unitary by construction.  A NaN amplitude
-gets no verdict: ``_ascend_batch`` raises on the starting values, before any
-sweep.
+gets no verdict: ``PureState`` refuses it, and should one reach a search all
+the same, ``_ascend_batch`` raises on the starting values, before any sweep.
 
 ``maximize_objective`` solves the overlap problem in full, from many starts
 that ascend together as one batch; it is not on ``decide``'s path, and the
@@ -50,12 +50,6 @@ from .bell import canonical_mk  # noqa: F401
 from .linalg import PureState, qubit_count, reduced_density
 
 DECISION_TAU = 1e-6
-
-
-def check_tau(tau: float) -> None:
-    """Rejects a decision threshold that is not finite or not in [0, 1)."""
-    if not (math.isfinite(tau) and 0.0 <= tau < 1.0):
-        raise ValueError(f"tau must be finite and in [0, 1), got {tau!r}")
 
 
 @dataclass(frozen=True)
@@ -335,7 +329,8 @@ def decide(
     cap; the run record is one start's, whose start 0 is the witness.
     ``tau`` must be finite and in [0, 1).
     """
-    check_tau(tau)
+    if not (math.isfinite(tau) and 0.0 <= tau < 1.0):
+        raise ValueError(f"tau must be finite and in [0, 1), got {tau!r}")
     n = qubit_count(psi.n, 2)
     t, bound = psi.amplitudes, float(2 ** (n - 1))
     witness, a, b, overlap_bound = _witness(psi)

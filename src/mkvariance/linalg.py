@@ -52,8 +52,8 @@ class PureState:
     """Normalized pure state of n qubits.
 
     Construction renormalizes inputs whose norm deviates from 1 by less than
-    ``NORM_REPAIR_TOL`` and rejects anything worse.  Amplitudes are stored
-    read-only.
+    ``NORM_REPAIR_TOL`` and rejects anything worse, a non-finite norm (a NaN
+    or infinite amplitude) included.  Amplitudes are stored read-only.
     """
 
     __slots__ = ("n", "amplitudes")
@@ -66,7 +66,7 @@ class PureState:
         n = qubit_count(n)
         with np.errstate(over="ignore"):  # an overflowed norm is inf, and the check rejects it
             norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) >= NORM_REPAIR_TOL:
+        if not abs(norm - 1.0) < NORM_REPAIR_TOL:  # a NaN norm fails this, where >= would pass it
             raise ValueError(f"state norm {norm!r} deviates from 1 by more than {NORM_REPAIR_TOL}")
         amps /= norm
         amps.setflags(write=False)

@@ -10,6 +10,7 @@ import functools
 import math
 import tracemalloc
 from dataclasses import asdict, astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -467,23 +468,25 @@ def test_local_unitary_rejects_non_finite(bad):
 # NaN arithmetic warns on the way, which the suite's settings turn into errors.
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_nan_amplitude_gets_no_verdict():
-    # A NaN amplitude passes the norm check as it stands, and every objective
-    # value is then NaN; the search must raise rather than hand decide a
-    # factor array whose margin fails the test and reads "product".
+    # PureState refuses a NaN amplitude.  Past that check, as in this
+    # stand-in, every objective value is NaN; the search must raise rather
+    # than hand decide a factor array whose margin fails the test and reads
+    # "product".
     amps = np.zeros(8, dtype=complex)
     amps[0], amps[5] = math.nan, 1.0
     config = OptimizerConfig(seed=0, starts=4)
-    with pytest.raises(ValueError):
-        maximize_objective(PureState(amps), config)
-    with pytest.raises(ValueError):
-        decide(PureState(amps), config)
+    with pytest.raises(ValueError, match="not finite"):
+        maximize_objective(SimpleNamespace(n=3, amplitudes=amps), config)
+    with pytest.raises(ValueError, match="not finite"):
+        decide(SimpleNamespace(n=3, amplitudes=amps), config)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("n", [2, 4, 8, 12])
 def test_nan_amplitude_raises_before_any_sweep(n, monkeypatch):
-    # Every start of a NaN state has a NaN value, so the shared driver raises
-    # on the starting values; neither search sweeps it to the cap.
+    # PureState refuses a NaN amplitude, so a stand-in carries it past that
+    # check.  Every start of a NaN state has a NaN value, so the shared driver
+    # raises on the starting values; no search sweeps it to the cap.
     calls = []
     for module in (criterion, bell):
         monkeypatch.setattr(module, "_sweep", lambda *args, sweep=module._sweep: calls.append(1) or sweep(*args))
@@ -491,7 +494,7 @@ def test_nan_amplitude_raises_before_any_sweep(n, monkeypatch):
     amps[1] = math.nan
     for search in (maximize_objective, decide, max_mk_mean):
         with pytest.raises(ValueError, match="not finite"):
-            search(PureState(amps))
+            search(SimpleNamespace(n=n, amplitudes=amps))
     assert calls == []
 
 

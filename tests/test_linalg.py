@@ -82,6 +82,15 @@ def test_pure_state_rejects_a_huge_finite_amplitude_without_a_warning(huge):
         PureState([huge, 0, 0, 0])
 
 
+@pytest.mark.parametrize("bad, norm", [
+    (np.nan, "nan"), (complex(0, np.inf), "inf"), (complex(0.5, np.nan), "nan"), (complex(np.inf, np.nan), "nan"),
+], ids=["nan", "imaginary-inf", "imaginary-nan", "inf-and-nan"])
+def test_pure_state_rejects_a_non_finite_amplitude(bad, norm):
+    # Every comparison with a NaN norm is false, so the check must be one that fails on it.
+    with pytest.raises(ValueError, match=f"norm {norm} deviates"):
+        PureState([bad, 0, 0, 1])
+
+
 def test_pure_state_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         PureState(np.ones(7) / np.sqrt(7))
@@ -207,16 +216,16 @@ def state_of(n):
     return PureState.basis(n, 0) if n <= MAX_QUBITS else SimpleNamespace(n=n)
 
 
-def read_decide(n, tmp_path):
+def run_decide(n, tmp_path):
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"n": n, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * (2**n - 1)}))
     args = cli.build_parser().parse_args(["decide", str(path)])
-    args.read(args)
+    args.run(args)
 
 
-def read_ghz_scan(n, tmp_path):
+def run_ghz_scan(n, tmp_path):
     args = cli.build_parser().parse_args(["ghz-scan", "--n", str(n)])
-    args.read(args)
+    args.run(args)
 
 
 # Each site that takes a qubit count, with the smallest n it accepts.
@@ -231,8 +240,8 @@ QUBIT_COUNT_SITES = {
     "maximize_objective": (2, lambda n, _: maximize_objective(state_of(n))),
     # decide checks n itself, before its certificate reads the state.
     "decide": (2, lambda n, _: decide(state_of(n))),
-    "cli-decide-read": (2, read_decide),
-    "cli-ghz-scan-read": (2, read_ghz_scan),
+    "cli-decide": (2, run_decide),
+    "cli-ghz-scan": (2, run_ghz_scan),
 }
 
 
@@ -246,7 +255,7 @@ def test_every_site_rejects_a_qubit_count_outside_its_range(tmp_path, site, n):
     with pytest.raises(ValueError, match="outside the supported range") as raised:
         call(n, tmp_path)
     # One rule, one message.  Below the minimum it names the site's own range;
-    # decide's read step checks n = 17 while loading, against the states' range 1..16.
+    # the decide command checks n = 17 while loading, against the states' range 1..16.
     assert "n must be an integer in" in str(raised.value)
     if n < minimum:
         assert f"in {minimum}..{MAX_QUBITS}" in str(raised.value)

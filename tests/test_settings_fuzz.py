@@ -4,8 +4,7 @@ with exit 2, nothing on stdout and exactly one `error:` line.
 Each example starts from a valid settings file of 1-4 qubits and breaks it in
 one way, 15 examples for each of the 13 ways.  The search is derandomized and
 bounded, so the examples are the same on every run.  State files are fuzzed the same way in
-tests/test_state_fuzz.py, all but NaN amplitudes, which still exit 1
-(ROADMAP item 1).
+tests/test_state_fuzz.py.
 """
 
 import json

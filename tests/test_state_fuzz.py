@@ -2,9 +2,8 @@
 with exit 2, nothing on stdout and exactly one `error:` line.
 
 Each example starts from a valid state file of 2-4 qubits and breaks it in
-one way, 15 examples for each of the 14 ways.  The search is derandomized and
-bounded, so the examples are the same on every run.  NaN amplitudes are left out: they still exit 1, the
-"product" code, and ROADMAP item 1 owns that fix.
+one way, 15 examples for each of the 15 ways.  The search is derandomized and
+bounded, so the examples are the same on every run.
 """
 
 import json
@@ -24,7 +23,7 @@ HUGE = st.floats(2e154, 1e308).flatmap(lambda x: st.sampled_from([x, -x]))
 
 KINDS = ["top-level", "n-type", "n-range", "one-qubit", "missing-key", "amplitudes-type",
          "amplitude-count", "row", "component-type", "booleans", "huge-integer", "norm",
-         "infinite", "huge-finite"]
+         "infinite", "huge-finite", "nan"]
 
 
 def valid_amplitudes(draw, n):
@@ -79,8 +78,10 @@ def malformed_state(draw, kind):
         data["amplitudes"] = [[scale * x for x in row] for row in amplitudes]
     elif kind == "infinite":
         amplitudes[i][part] = draw(st.sampled_from([math.inf, -math.inf]))
-    else:
+    elif kind == "huge-finite":
         amplitudes[i][part] = draw(HUGE)
+    else:
+        amplitudes[i][part] = math.nan
     return data
 
 
