@@ -18,13 +18,13 @@ objective restricted to one qubit is A + B cos(theta) + C sin(theta) cos(chi
 these exact updates, with an extrapolation step after sweeps 11, 13, 15, ...
 that is kept only where it raises the value, is therefore monotone and
 deterministic given its starts.  Residual overlap phases are removed
-afterwards by a diagonal phase gate on qubit 1.  The phase fix reads the end
-overlaps from one contraction, ``_overlaps``, of psi with the rows of U, and
-the verdict reads its values from that same call.  The maximizer is returned
-as its factors U_1, ..., U_n, one read-only (n, 2, 2) array; each factor is
-built from a unit row, so it is unitary by construction.  A NaN amplitude
-gets no verdict: ``PureState`` refuses it, and should one reach a search all
-the same, ``_ascend_batch`` raises on the starting values, before any sweep.
+afterwards from the rows of qubit 1.  The phase fix reads the end overlaps
+from one contraction, ``_overlaps``, of psi with the rows of U, and the
+verdict reads its values from that same call.  The maximizer is returned as
+its factors U_1, ..., U_n, one read-only (n, 2, 2) array; each factor is the
+U_j of a unit xi, so it is unitary by construction.  A NaN amplitude gets no
+verdict: ``PureState`` refuses it, and should one reach a search all the
+same, ``_ascend_batch`` raises on the starting values, before any sweep.
 
 ``maximize_objective`` solves the overlap problem in full, from many starts
 that ascend together as one batch; it is not on ``decide``'s path, and the
@@ -121,21 +121,38 @@ def variance(psi: PureState, op) -> float:
 # ---------------------------------------------------------------------------
 # Block-coordinate ascent over the 2n angles, all starts at once.
 #
-# Qubit j is parameterized by the state xi_j = (cos(t/2), e^{i chi} sin(t/2))
-# that its factor maps to |0>; the factor itself is
+# Qubit j is parameterized by the state xi_j = (cos h, e^{i phi} sin h) that
+# its factor maps to |0>; the factor itself is
 #     U_j = [[conj(xi_0), conj(xi_1)], [-xi_1, xi_0]],
-# whose row 0 builds <0..0|U psi> and row 1 builds <1..1|U psi>.  A batch of
-# S starts carries only these rows, shape (S, n, 2, 2) indexed [start, qubit,
-# overlap, component]; a block update writes one qubit's rows in place.
+# whose row 0 builds <0..0|U psi> and row 1 builds <1..1|U psi>.  One
+# builder, ``_rows``, writes every factor in this module: the random starts,
+# the witness and each block update, the last two through ``_top``.  A batch
+# of S starts carries only these rows, shape (S, n, 2, 2) indexed [start,
+# qubit, overlap, component]; a block update writes one qubit's rows in place.
 # ---------------------------------------------------------------------------
 
-def _rows(xis: np.ndarray) -> np.ndarray:
-    """The factors U_j for xis of shape (..., 2), as arrays of shape (..., 2, 2)."""
-    return np.stack([xis.conj(), np.stack([-xis[..., 1], xis[..., 0]], axis=-1)], axis=-2)
+def _rows(half: np.ndarray, phase: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Writes the factors U_j of xi = (cos(half), e^{i phase} sin(half)) into
+    ``out``, shape half.shape + (2, 2), and returns it."""
+    out[..., 1, 1], out[..., 1, 0] = np.cos(half), np.exp(1j * phase) * np.sin(half)
+    np.conjugate(out[..., 1, ::-1], out=out[..., 0, :])
+    np.negative(out[..., 1, 0], out=out[..., 1, 0])
+    return out
+
+
+def _top(x: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The factors that map the top eigenvector of [[c + x, conj(g)], [g, c -
+    x]] to |0>, written into ``out`` by ``_rows``, and the radius hypot(x,
+    |g|) by which its top eigenvalue exceeds c.  The eigenvector is (cos h,
+    e^{i arg g} sin h) with h = atan2(|g|, x)/2."""
+    y = np.abs(g)
+    _rows(np.arctan2(y, x) / 2, np.arctan2(g.imag, g.real), out)
+    return np.hypot(x, y)
 
 
 def _retract(rows: np.ndarray) -> np.ndarray:
-    """Rows ``_rows(xi)`` scaled to unit xi: row 1 of x + lam (x - x_prev) is row 0's image too."""
+    """Rows scaled to unit xi: row 1 of x + lam (x - x_prev) is row 0's image
+    too, so the result is the factor U_j of the normalized xi = conj(row 0)."""
     row = rows[..., :1, :]
     return rows / np.sqrt(np.add.reduce((row * row.conj()).real, axis=-1))[..., None]
 
@@ -155,18 +172,17 @@ def _objective(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _phase_fixed(t: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, float, float]:
     """The factors ``rows`` of one start, shape (n, 2, 2), as a new read-only
-    array with a diagonal phase gate left-multiplied on qubit 1, so that both
-    end overlaps become real and nonnegative, and those overlaps: the moduli
-    alpha = |a| and beta = |b| of the one ``_overlaps`` call, which the gate
-    leaves unchanged.  A zero overlap keeps its phase."""
-    a, b = _overlaps(t, rows[None])[0]
-    phase_a = -np.angle(a) if abs(a) > 0 else 0.0
-    phase_b = -np.angle(b) if abs(b) > 0 else 0.0
-    gate = np.diag([np.exp(1j * phase_a), np.exp(1j * phase_b)])
+    array whose qubit-1 rows 0 and 1 are multiplied by conj(a)/|a| and
+    conj(b)/|b|, so that both end overlaps a and b become real and
+    nonnegative, and those overlaps: the moduli alpha = |a| and beta = |b|
+    of the one ``_overlaps`` call, which the phases leave unchanged.  A zero
+    overlap keeps its phase."""
+    overlaps = _overlaps(t, rows[None])[0]
+    moduli = np.abs(overlaps)
     fixed = rows.copy()
-    fixed[0] = gate @ rows[0]
+    fixed[0] *= np.divide(overlaps.conj(), moduli, out=np.ones(2, complex), where=moduli > 0)[:, None]
     fixed.setflags(write=False)
-    return fixed, float(abs(a)), float(abs(b))
+    return fixed, float(moduli[0]), float(moduli[1])
 
 
 def _block_update(m: np.ndarray, old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -175,18 +191,15 @@ def _block_update(m: np.ndarray, old: np.ndarray, new: np.ndarray) -> tuple[np.n
     Contracting every other qubit leaves two 2-vectors per start, m0 = m[:, 0]
     and m1 = m[:, 1], with a = row0 . m0 and b = row1 . m1; the objective
     reduces to (P+Q)/2 + (P-Q)/2 cos(theta) + |G| sin(theta) at the optimal
-    chi.  Writes the best factor into ``new`` (``old`` where the objective is
+    chi, the top eigenvalue of [[P, conj(G)], [G, Q]].  ``_top`` writes the
+    factor of its eigenvector into ``new`` (``old`` where the objective is
     flat); returns P, Q and the radius, so the value is (P+Q)/2 + radius.
     """
     squares = np.abs(m) ** 2
     p = squares[:, 0, 0] + squares[:, 1, 1]
     q = squares[:, 0, 1] + squares[:, 1, 0]
     g = m[:, 0, 1] * np.conj(m[:, 0, 0]) - np.conj(m[:, 1, 0]) * m[:, 1, 1]
-    x, y = (p - q) / 2.0, np.abs(g)
-    radius, half = np.hypot(x, y), np.arctan2(y, x) / 2
-    new[:, 1, 1], new[:, 1, 0] = np.cos(half), np.exp(1j * np.arctan2(g.imag, g.real)) * np.sin(half)
-    np.conjugate(new[:, 1, ::-1], out=new[:, 0])
-    np.negative(new[:, 1, 0], out=new[:, 1, 0])
+    radius = _top((p - q) / 2.0, g, new)
     if radius.min() < 1e-300:
         flat = radius < 1e-300
         new[flat] = old[flat]
@@ -240,8 +253,7 @@ def maximize_objective(psi: PureState, config: OptimizerConfig | None = None) ->
     drawn = np.array([draw() for _ in range((starts - 1) * 2 * n)]).reshape(starts - 1, 2, n)
     drawn *= np.array([[math.pi], [2 * math.pi]])
     angles = np.concatenate([np.zeros((1, 2, n)), drawn])
-    thetas, chis = angles[:, 0], angles[:, 1]
-    rows = _rows(np.stack([np.cos(thetas / 2), np.exp(1j * chis) * np.sin(thetas / 2)], axis=-1))
+    rows = _rows(angles[:, 0] / 2, angles[:, 1], np.empty((starts, n, 2, 2), complex))
     t = psi.amplitudes
     values, _, meta = _ascend_batch(
         lambda r: _objective(t, r), lambda r: _sweep(t, r), _retract, rows, cfg, _chunk(2**n))
@@ -258,16 +270,15 @@ def _witness(psi: PureState) -> tuple[np.ndarray, float, float, float]:
     """The phase-fixed witness factors, alpha and beta at the witness, and
     the overlap bound G.
 
-    With x = (rho_00 - rho_11)/2, lambda_max(rho_j) = 1/2 + hypot(x, |rho_10|),
-    and its eigenvector (cos h, e^{i arg rho_10} sin h), h = atan2(|rho_10|,
-    x)/2, is the half-angle form of ``_block_update``; the factor U_j maps it
-    to |0>.  Closed forms, so no eigensolver is loaded.
+    ``_top`` with x = (rho_00 - rho_11)/2 and g = rho_10, the step that
+    ``_block_update`` takes, writes the factor U_j that maps the top
+    eigenvector of rho_j to |0>, and lambda_max(rho_j) = 1/2 + its radius.
+    Closed forms, so no eigensolver is loaded.
     """
     rho = np.array([reduced_density(psi, j) for j in range(1, psi.n + 1)])
-    x, g = (rho[:, 0, 0].real - rho[:, 1, 1].real) / 2, rho[:, 1, 0]
-    half = np.arctan2(np.abs(g), x) / 2
-    xis = np.stack([np.cos(half), np.exp(1j * np.arctan2(g.imag, g.real)) * np.sin(half)], axis=-1)
-    return *_phase_fixed(psi.amplitudes, _rows(xis)), 0.5 + float(np.min(np.hypot(x, np.abs(g))))
+    factors = np.empty_like(rho)
+    radius = _top((rho[:, 0, 0].real - rho[:, 1, 1].real) / 2, rho[:, 1, 0], factors)
+    return *_phase_fixed(psi.amplitudes, factors), 0.5 + float(radius.min())
 
 
 def _end_values(alpha: float, beta: float, bound: float) -> tuple[float, float]:

@@ -97,21 +97,6 @@ def test_decide_process_does_not_import_numpy_random(tmp_path):
     assert child.stderr.splitlines()[-1] == "numpy.random loaded: False False"
 
 
-def test_decide_gives_no_verdict_on_a_nan_amplitude(tmp_path):
-    # In a child process, so that the test holds whether the error reaches
-    # the CLI's handler or escapes it; the exit code is not pinned here.
-    amps = [[0.0, 0.0]] * 4
-    amps[0], amps[3] = [math.nan, 0.0], [1.0, 0.0]
-    path = tmp_path / "nan.json"
-    path.write_text(json.dumps({"n": 2, "amplitudes": amps}))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    child = subprocess.run([sys.executable, "-m", "mkvariance.cli", "decide", str(path)],
-                           capture_output=True, text=True, env=env)
-    assert child.stdout == ""
-    assert child.returncode != 0
-
-
 def decide_in_a_child(tmp_path, amplitudes):
     """``python -m mkvariance.cli decide`` on a 2-qubit state file, in a child process."""
     path = tmp_path / "state.json"

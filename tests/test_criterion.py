@@ -27,6 +27,7 @@ from mkvariance import (
     maximize_objective,
     random_product_state,
     random_state,
+    reduced_density,
     variance,
 )
 from mkvariance import ascent, bell, criterion
@@ -175,10 +176,11 @@ def test_objective_bounded_by_one():
 
 
 def test_phase_fix_leaves_nonnegative_overlaps_alone():
-    psi = generalized_ghz(3, 0.4)
+    # On basis states 0 and 7 the overlap b, then a, is zero; a zero overlap keeps its phase.
     rows = identity_unitary(3)
-    for before, after in zip(rows, _phase_fixed(psi.amplitudes, rows)[0]):
-        np.testing.assert_array_equal(before, after)
+    for psi in (generalized_ghz(3, 0.4), PureState.basis(3, 0), PureState.basis(3, 7)):
+        for before, after in zip(rows, _phase_fixed(psi.amplitudes, rows)[0]):
+            np.testing.assert_array_equal(before, after)
 
 
 def test_phase_fix_rotates_overlaps_nonnegative():
@@ -287,14 +289,11 @@ def test_ascent_iterations_are_monotone():
     cfg = OptimizerConfig(seed=0, starts=1, max_iterations=200)
     for n in (2, 3, 4):
         psi = random_state(n, int(rng.integers(2**31)))
-        xis = []
-        for _ in range(n):
-            theta = rng.uniform(0, math.pi)
-            chi = rng.uniform(0, 2 * math.pi)
-            xis.append(np.array([math.cos(theta / 2), np.exp(1j * chi) * math.sin(theta / 2)]))
+        thetas, chis = rng.uniform(0, [math.pi, 2 * math.pi], size=(1, n, 2)).transpose(2, 0, 1)
         # A batch of one start, swept by hand to record the value after each sweep.
         t = psi.amplitudes
-        batch = _rows(np.array([xis]))
+        start = _rows(thetas / 2, chis, np.empty((1, n, 2, 2), complex))
+        batch = start
         history = [_objective(t, batch)[0]]
         for _ in range(cfg.max_iterations):
             batch, values = _sweep(t, batch)
@@ -304,8 +303,7 @@ def test_ascent_iterations_are_monotone():
         # A zero candidate has value 0 and is never kept, so the driver must
         # match the plain sweep loop exactly.
         values, sweeps, _ = _ascend_batch(
-            lambda rows: _objective(t, rows), lambda rows: _sweep(t, rows), np.zeros_like, _rows(np.array([xis])),
-            cfg, 1)
+            lambda rows: _objective(t, rows), lambda rows: _sweep(t, rows), np.zeros_like, start, cfg, 1)
         value = values[0]
         assert sweeps[0] == len(history) - 1
         assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
@@ -825,6 +823,27 @@ def test_a_settled_verdict_is_the_search_verdict(n):
                 settled += 1
                 assert report.verdict == report.certificate.settles == search_verdict(psi)
     assert settled >= 75
+
+
+@pytest.mark.parametrize("make", [
+    lambda n, k: random_state(n, 50 * n + k),
+    lambda n, k: random_product_state(n, 50 * n + k),
+    lambda n, k: generalized_ghz(n, (k + 1) * math.pi / 16),
+    lambda n, k: near_product_state(n, k, 1e-6),
+], ids=["haar", "product", "ghz", "near-product"])
+def test_the_witness_agrees_with_an_eigensolver(make):
+    # The closed-form top eigenpair of each rho_j against numpy's eigvalsh:
+    # the overlap bound is min_j lambda_max(rho_j), and each witness factor
+    # maps rho_j's top eigenvector to |0>, so (U_j rho_j U_j^dag)[0, 0] is
+    # lambda_max(rho_j).
+    for n in range(2, 9):
+        for k in range(3):
+            psi = make(n, k)
+            rho = [reduced_density(psi, j) for j in range(1, n + 1)]
+            top = [np.linalg.eigvalsh(r)[-1] for r in rho]
+            assert abs(decide(psi).certificate.overlap_bound - min(top)) <= 1e-12
+            for u, r, lam in zip(criterion._witness(psi)[0], rho, top):
+                assert abs((u @ r @ u.conj().T)[0, 0] - lam) <= 1e-12
 
 
 def test_a_settled_decide_reads_the_overlaps_once(monkeypatch):

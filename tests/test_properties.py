@@ -64,7 +64,7 @@ def overlap_rows(data, n, starts):
     angle = st.floats(0.0, 2 * math.pi)
     drawn = np.array(data.draw(st.lists(angle, min_size=2 * starts * n, max_size=2 * starts * n)))
     thetas, chis = drawn.reshape(2, starts, n)
-    return _rows(np.stack([np.cos(thetas / 2), np.exp(1j * chis) * np.sin(thetas / 2)], axis=-1))
+    return _rows(thetas / 2, chis, np.empty((starts, n, 2, 2), complex))
 
 
 @settings(PROPERTY, max_examples=100)
@@ -180,10 +180,13 @@ def test_the_retract_equals_rebuilding_the_rows(data, n, starts, lam):
     # _retract scales the extrapolated rows by the norm of row 0 instead of
     # rebuilding both rows from xi = conj(row 0): row 1 of x + lam (x -
     # x_prev) is the same real-linear image of row 0 as in x and x_prev.
+    # The rebuilt factor [[conj(xi_0), conj(xi_1)], [-xi_1, xi_0]] is
+    # written out here from the normalized xi.
     new, old = overlap_rows(data, n, starts), overlap_rows(data, n, starts)
     candidate = new + lam * (new - old)
-    xis = candidate[..., 0, :].conj()
-    rebuilt = _rows(xis / np.sqrt(np.add.reduce((xis.conj() * xis).real, axis=-1))[..., None])
+    xi = candidate[..., 0, :].conj()
+    xi = xi / np.sqrt(np.add.reduce((xi.conj() * xi).real, axis=-1))[..., None]
+    rebuilt = np.stack([xi.conj(), np.stack([-xi[..., 1], xi[..., 0]], axis=-1)], axis=-2)
     np.testing.assert_array_equal(criterion._retract(candidate), rebuilt)
 
 
