@@ -8,10 +8,12 @@ look like
     {"n": 3, "amplitudes": [[re, im], ...]}                      (2^n entries)
     {"n": 3, "pairs": [{"a": [x, y, z], "a_prime": [x, y, z]}, ...]}  (n pairs)
 
-The `decide` command prints the report's fields and encodes its verdict in
-the exit code: 0 entangled, 1 product, 2 input error.  A command prints its
-whole report or nothing: `main` turns any exception a command raises into
-one `error:` line on stderr and exit 2, with nothing on stdout.
+The `decide` command prints one verdict, the criterion's report, and encodes
+it in the exit code: 0 entangled, 1 product, 2 input error.  The purity
+oracle is the tests' referee; it is importable from the library and is not
+run here.  A command prints its whole report or nothing: `main` turns any
+exception a command raises into one `error:` line on stderr and exit 2, with
+nothing on stdout.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ from .bell import (
     generalized_ghz,
     max_mk_mean,
 )
-from .criterion import DECISION_TAU, DecisionReport, OptimizerConfig, decide, variance
+from .criterion import DECISION_TAU, DecisionReport, decide, variance
 from .linalg import DENSE_QUBIT_CAP, PureState, qubit_count
-from .oracle import is_product_oracle
+# Unused here, but perfbench/spans.py rebinds cli.is_product_oracle.
+from .oracle import is_product_oracle  # noqa: F401
 
 EXIT_ENTANGLED = 0
 EXIT_PRODUCT = 1
@@ -113,24 +116,15 @@ def decision_json(report: DecisionReport) -> dict:
     return data
 
 
-def _emit(obj: dict, indent: int | None) -> None:
+def _emit(obj: dict) -> None:
     # json renders floats with repr, which round-trips the exact double.
-    print(json.dumps(obj, indent=indent))
+    print(json.dumps(obj))
 
 
 def _decide(args) -> int:
     psi, deviation = load_state_file(args.state_file)
     report = decide(psi, tau=args.tau)
-    oracle = is_product_oracle(psi)
-    _emit(
-        {
-            "n": psi.n,
-            "norm_deviation": deviation,
-            "decision": decision_json(report),
-            "oracle": dataclasses.asdict(oracle),
-        },
-        args.json_indent,
-    )
+    _emit({"n": psi.n, "norm_deviation": deviation, "decision": decision_json(report)})
     return EXIT_ENTANGLED if report.verdict == "entangled" else EXIT_PRODUCT
 
 
@@ -138,8 +132,6 @@ def _ghz_scan(args) -> int:
     op = canonical_mk(args.n)
     if args.points < 2:
         raise ValueError("need at least 2 grid points")
-    # Built up front, so that a bad --seed or --starts is refused without --compare-mean too.
-    config = OptimizerConfig(seed=args.seed, starts=args.starts)
     rows = []
     for phi in np.linspace(0.0, math.pi / 4, args.points):
         psi = generalized_ghz(args.n, float(phi))
@@ -154,9 +146,9 @@ def _ghz_scan(args) -> int:
             "verdict": report.verdict,
         }
         if args.compare_mean:
-            row["mean_max"] = max_mk_mean(psi, config).value
+            row["mean_max"] = max_mk_mean(psi).value
         rows.append(row)
-    _emit({"n": args.n, "bound": float(2 ** (args.n - 1)), "rows": rows}, args.json_indent)
+    _emit({"n": args.n, "bound": float(2 ** (args.n - 1)), "rows": rows})
     return 0
 
 
@@ -179,7 +171,7 @@ def _mk_op(args) -> int:
     out["max_abs_eigenvalue"] = op.operator_norm()
     if args.dump_matrix:
         out["matrix"] = [[[z.real, z.imag] for z in row] for row in matrix]
-    _emit(out, args.json_indent)
+    _emit(out)
     return 0
 
 
@@ -190,30 +182,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tau", type=float, default=DECISION_TAU, help="relative decision threshold")
-        p.add_argument("--json-indent", type=int, default=None, help="pretty-print JSON output")
-
     p = sub.add_parser("decide", help="decide whether a state file is entangled")
     p.add_argument("state_file")
-    add_common(p)
+    p.add_argument("--tau", type=float, default=DECISION_TAU, help="relative decision threshold")
     p.set_defaults(run=_decide)
 
     p = sub.add_parser("ghz-scan", help="sweep the generalized-GHZ family")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--points", type=int, default=21, help="grid points on [0, pi/4]")
     p.add_argument("--compare-mean", action="store_true", help="also maximize the MK mean value")
-    p.add_argument("--seed", type=int, default=0, help="seed of the --compare-mean see-saw's starts")
-    p.add_argument("--starts", type=int, default=None,
-                   help="starts of the --compare-mean see-saw (default max(32, 8n)); decide uses neither option")
-    add_common(p)
+    p.add_argument("--tau", type=float, default=DECISION_TAU, help="relative decision threshold")
     p.set_defaults(run=_ghz_scan)
 
     p = sub.add_parser("mk-op", help="operator norm and spectrum of an MK operator")
     p.add_argument("settings_file", nargs="?", default=None)
     p.add_argument("--canonical", type=int, default=None, metavar="N", help="use canonical settings")
     p.add_argument("--dump-matrix", action="store_true", help="include full matrix entries")
-    p.add_argument("--json-indent", type=int, default=None)
     p.set_defaults(run=_mk_op)
 
     return parser

@@ -79,6 +79,14 @@ def test_cli_commands_are_the_agreed_ones():
     (commands,) = [action for action in cli.build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction)]
     assert list(commands.choices) == ["decide", "ghz-scan", "mk-op"]
+    # Each flag is here, as each export is in PUBLIC: adding one is a test change.
+    options = {name: [option for action in parser._actions for option in action.option_strings]
+               for name, parser in commands.choices.items()}
+    assert options == {
+        "decide": ["-h", "--help", "--tau"],
+        "ghz-scan": ["-h", "--help", "--n", "--points", "--compare-mean", "--tau"],
+        "mk-op": ["-h", "--help", "--canonical", "--dump-matrix"],
+    }
 
 
 def test_every_traced_binding_exists():

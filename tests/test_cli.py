@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mkvariance import PureState, canonical_settings, cli, generalized_ghz, random_state
+from mkvariance import PureState, canonical_settings, cli, generalized_ghz, is_product_oracle, random_state
 from mkvariance.cli import load_state_file, main, write_state_file
 
 from klyshko_reference import dense_pair, random_settings, swapped
@@ -33,25 +33,31 @@ def state_file(tmp_path, psi, name="state.json"):
 # --- decide ---
 
 
+REPORT_KEYS = {"n", "norm_deviation", "decision"}
+
+
 def test_decide_entangled_generalized_ghz(tmp_path, capsys):
-    path = state_file(tmp_path, generalized_ghz(3, math.pi / 8))
-    code, out, _ = run_cli(capsys, ["decide", path])
+    psi = generalized_ghz(3, math.pi / 8)
+    code, out, _ = run_cli(capsys, ["decide", state_file(tmp_path, psi)])
     assert code == 0
     data = json.loads(out)
+    assert set(data) == REPORT_KEYS
     assert data["decision"]["verdict"] == "entangled"
     assert data["decision"]["variance"] == pytest.approx(2.0, abs=1e-9)
     assert data["decision"]["bound"] == 4.0
-    assert data["oracle"]["is_product"] is False
+    # The report carries one verdict; the purity oracle referees it here.
+    assert not is_product_oracle(psi).is_product
 
 
 def test_decide_product_basis_state(tmp_path, capsys):
-    path = state_file(tmp_path, PureState.basis(4, 0b0101))
-    code, out, _ = run_cli(capsys, ["decide", path])
+    psi = PureState.basis(4, 0b0101)
+    code, out, _ = run_cli(capsys, ["decide", state_file(tmp_path, psi)])
     assert code == 1
     data = json.loads(out)
+    assert set(data) == REPORT_KEYS
     assert data["decision"]["verdict"] == "product"
     assert data["decision"]["variance"] == pytest.approx(8.0, abs=1e-6)
-    assert data["oracle"]["is_product"] is True
+    assert is_product_oracle(psi).is_product
 
 
 def test_decide_emits_basin_count_and_convergence(tmp_path, capsys):
@@ -242,12 +248,25 @@ def test_decide_rejects_bad_option(tmp_path, capsys, option, word):
     assert word in err
 
 
-@pytest.mark.parametrize("option", [["--seed", "0"], ["--starts", "4"]], ids=["seed", "starts"])
-def test_decide_has_no_optimizer_options(tmp_path, capsys, option):
-    # decide ascends from its witness alone; only ghz-scan's see-saw takes a seed or a start count.
-    path = state_file(tmp_path, generalized_ghz(3, math.pi / 8))
+@pytest.mark.parametrize("command, flag", [
+    ("decide", "--seed"),
+    ("decide", "--starts"),
+    ("ghz-scan", "--seed"),
+    ("ghz-scan", "--starts"),
+    ("decide", "--json-indent"),
+    ("ghz-scan", "--json-indent"),
+    ("mk-op", "--json-indent"),
+], ids=lambda value: value.lstrip("-"))
+def test_commands_refuse_removed_options(tmp_path, capsys, command, flag):
+    # decide ascends from its witness alone, ghz-scan's see-saw runs on the
+    # library's defaults, and every command prints compact JSON.
+    operands = {
+        "decide": [state_file(tmp_path, generalized_ghz(3, math.pi / 8))],
+        "ghz-scan": ["--n", "3", "--points", "3"],
+        "mk-op": ["--canonical", "3"],
+    }
     with pytest.raises(SystemExit) as stop:
-        main(["decide", path] + option)
+        main([command] + operands[command] + [flag, "2"])
     assert stop.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -286,7 +305,7 @@ def test_ghz_scan_endpoints(capsys):
 def test_ghz_scan_compare_mean(capsys):
     code, out, _ = run_cli(
         capsys,
-        ["ghz-scan", "--n", "2", "--points", "3", "--compare-mean", "--starts", "6"],
+        ["ghz-scan", "--n", "2", "--points", "3", "--compare-mean"],
     )
     assert code == 0
     rows = json.loads(out)["rows"]
@@ -303,8 +322,6 @@ def test_ghz_scan_rejects_bad_n(capsys):
 
 
 @pytest.mark.parametrize("option, word", BAD_TAUS + [
-    pytest.param(["--starts", "0"], "starts", id="starts-0"),
-    pytest.param(["--seed", "-1"], "seed", id="seed-neg"),
     pytest.param(["--points", "1"], "at least 2 grid points", id="points-1"),
     pytest.param(["--points", "0"], "at least 2 grid points", id="points-0"),
 ])
