@@ -3,7 +3,8 @@
 Builds Mermin-Klyshko Bell operators from measurement settings, solves
 the quadratic overlap maximization over local unitaries, and tests the
 variance bound 2**(n-1) that separates product states (equality attainable)
-from entangled ones (strict inequality).  A purity-based oracle provides
+from entangled ones (strict inequality); ``decide`` reports the local
+unitary it read the variance at.  A purity-based oracle provides
 independent ground truth for testing.
 """
 
@@ -21,9 +22,7 @@ from .bell import (
 from .criterion import (
     DECISION_TAU,
     DecisionReport,
-    ObjectiveResult,
     decide,
-    maximize_objective,
     variance,
 )
 from .linalg import (
@@ -49,7 +48,6 @@ __all__ = [
     "MKMeanResult",
     "MKOperator",
     "MeasurementSettings",
-    "ObjectiveResult",
     "OptimizerConfig",
     "OptimizerMetadata",
     "OracleVerdict",
@@ -61,7 +59,6 @@ __all__ = [
     "ghz",
     "is_product_oracle",
     "max_mk_mean",
-    "maximize_objective",
     "random_product_state",
     "random_state",
     "reduced_density",

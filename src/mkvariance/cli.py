@@ -8,6 +8,9 @@ look like
     {"n": 3, "amplitudes": [[re, im], ...]}                      (2^n entries)
     {"n": 3, "pairs": [{"a": [x, y, z], "a_prime": [x, y, z]}, ...]}  (n pairs)
 
+Every complex array written, amplitudes, matrix entries and a report's
+local unitary, is nested lists of [re, im] pairs.
+
 The `decide` command prints one verdict, the criterion's report, and encodes
 it in the exit code: 0 entangled, 1 product, 2 input error.  The purity
 oracle is the tests' referee; it is importable from the library and is not
@@ -71,6 +74,11 @@ def _number_rows(raw, count: int, width: int, what: str) -> np.ndarray:
     return np.array(raw, dtype=float)
 
 
+def _pairs(array: np.ndarray) -> list:
+    """A complex array as nested lists, one [re, im] pair per entry."""
+    return np.stack((array.real, array.imag), axis=-1).tolist()
+
+
 def load_state_file(path: str) -> tuple[PureState, float]:
     """Read a StateFile, returning the state and the recorded norm deviation."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -85,7 +93,7 @@ def load_state_file(path: str) -> tuple[PureState, float]:
 def write_state_file(path: str, psi: PureState) -> None:
     data = {
         "n": psi.n,
-        "amplitudes": [[z.real, z.imag] for z in psi.amplitudes],
+        "amplitudes": _pairs(psi.amplitudes),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh)
@@ -110,9 +118,11 @@ def settings_json(settings: MeasurementSettings) -> dict:
 
 
 def decision_json(report: DecisionReport) -> dict:
-    """The JSON object of a report: its fields, with the run record under "optimizer"."""
+    """The JSON object of a report: its fields, with the run record under
+    "optimizer" and the factors last, indexed [qubit][row][col]."""
     data = dataclasses.asdict(report)
     data["optimizer"] = data.pop("optimizer_metadata")
+    data["factors"] = _pairs(data.pop("factors"))
     return data
 
 
@@ -170,7 +180,7 @@ def _mk_op(args) -> int:
         out["eigenvalues"] = sorted((float(x) for x in np.linalg.eigvalsh(matrix)), reverse=True)
     out["max_abs_eigenvalue"] = op.operator_norm()
     if args.dump_matrix:
-        out["matrix"] = [[[z.real, z.imag] for z in row] for row in matrix]
+        out["matrix"] = _pairs(matrix)
     _emit(out)
     return 0
 

@@ -20,20 +20,22 @@ that is kept only where it raises the value, is therefore monotone and
 deterministic given its starts.  Residual overlap phases are removed
 afterwards from the rows of qubit 1.  The phase fix reads the end overlaps
 from one contraction, ``_overlaps``, of psi with the rows of U, and the
-verdict reads its values from that same call.  The maximizer is returned as
+verdict reads its values from that same call.  The report carries that U as
 its factors U_1, ..., U_n, one read-only (n, 2, 2) array; each factor is the
 U_j of a unit xi, so it is unitary by construction.  A NaN amplitude gets no
 verdict: ``PureState`` refuses it, and should one reach a search all the
 same, ``_ascend_batch`` raises on the starting values, before any sweep.
 
 ``maximize_objective`` solves the overlap problem in full, from many starts
-that ascend together as one batch; it is not on ``decide``'s path, and the
-tests hold ``decide`` against it.  The batch holds each factor U_j as its
-rows and updates them in place.  A sweep builds the Kronecker products of the
-rows of the qubits still to be updated once, and carries the state contracted
-with the rows already updated, so it costs O(S 2**n) for S starts.  The starts
-run on ``ascent._ascend_batch`` in chunks of 2**18 // 2**n, and every start
-runs until it stops, so the run record counts all of them.
+that ascend together as one batch.  It is not on ``decide``'s path, and the
+package does not export it: the tests import it from this module as the
+multi-start reference they hold ``decide`` against.  The batch holds each
+factor U_j as its rows and updates them in place.  A sweep builds the
+Kronecker products of the rows of the qubits still to be updated once, and
+carries the state contracted with the rows already updated, so it costs
+O(S 2**n) for S starts.  The starts run on ``ascent._ascend_batch`` in
+chunks of 2**18 // 2**n, and every start runs until it stops, so the run
+record counts all of them.
 """
 
 from __future__ import annotations
@@ -82,11 +84,16 @@ class Certificate:
 class DecisionReport:
     """Outcome of the entanglement decision for one state.
 
-    When ``certificate.settles`` is set, no search ran: ``alpha``, ``beta``,
-    ``variance``, ``margin`` and ``objective_value`` are the values at the
-    witness U, and ``optimizer_metadata`` is a record of zero starts.  Else
-    they are the values where the ascent from the witness ends, and
-    ``optimizer_metadata`` is that one start's record.
+    ``factors`` is the U = U_1 (x) ... (x) U_n these values were read at, a
+    read-only complex (n, 2, 2) array whose entry j is U_{j+1}, phase-fixed so
+    that <0..0|U psi> = ``alpha`` and <1..1|U psi> = ``beta``.  When
+    ``certificate.settles`` is set, no search ran: U is the witness, and
+    ``alpha``, ``beta``, ``variance``, ``margin`` and ``objective_value`` are
+    its values, with ``optimizer_metadata`` a record of zero starts.  The
+    witness of a settled "entangled" report is not a maximizer; the bound,
+    not U, settles it.  Else U is where the ascent from the witness ends, and
+    ``optimizer_metadata`` is that one start's record.  On a "product"
+    verdict, U brings the variance within ``tau * bound`` of ``bound``.
     """
 
     n: int
@@ -100,6 +107,7 @@ class DecisionReport:
     tau: float
     optimizer_metadata: OptimizerMetadata
     certificate: Certificate
+    factors: np.ndarray
 
 
 def variance(psi: PureState, op) -> float:
@@ -304,7 +312,8 @@ def decide(
     p + q <= 1; there p + q - 4pq peaks at (G, 0), as G >= 1/2 for qubits
     and (1 - 2G)^2 <= G.  So no variance exceeds 2**(n-1) G, and 1 - G > tau
     settles "entangled".  Else a witness margin within ``tau * 2**(n-1)``
-    settles "product" with an explicit U.  The margin is reported either way.
+    settles "product" with an explicit U, the report's ``factors``.  The
+    margin is reported either way.
 
     A state in the tau shell, which neither settles, is searched by one block
     ascent from the witness, not by ``maximize_objective``.  That ascent ends
@@ -344,18 +353,18 @@ def decide(
         raise ValueError(f"tau must be finite and in [0, 1), got {tau!r}")
     n = qubit_count(psi.n, 2)
     t, bound = psi.amplitudes, float(2 ** (n - 1))
-    witness, a, b, overlap_bound = _witness(psi)
+    factors, a, b, overlap_bound = _witness(psi)
     value, delta = _end_values(a, b, bound)
     settles = "entangled" if 1.0 - overlap_bound > tau else "product" if bound - delta <= tau * bound else None
     certificate = Certificate(overlap_bound, bound * overlap_bound, bound - delta, settles)
     meta = _NO_SEARCH
     if settles is None:
-        rows = witness[None].copy()
+        rows = factors[None].copy()
         _, _, meta = _ascend_batch(lambda r: _objective(t, r), lambda r: _sweep(t, r), _retract, rows,
                                    config or OptimizerConfig(), 1)
-        _, a, b = _phase_fixed(t, rows[0])
+        factors, a, b = _phase_fixed(t, rows[0])
         value, delta = _end_values(a, b, bound)
     margin = bound - delta
     return DecisionReport(n=n, objective_value=value, alpha=a, beta=b, variance=delta, bound=bound, margin=margin,
                           verdict=settles or ("entangled" if margin > tau * bound else "product"), tau=tau,
-                          optimizer_metadata=meta, certificate=certificate)
+                          optimizer_metadata=meta, certificate=certificate, factors=factors)

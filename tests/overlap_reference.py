@@ -4,9 +4,9 @@ objective's value at it, the identity local unitary, the local unitary
 that sends a known product state to |0...0>, and near-product states.
 
 A local unitary U = U_1 (x) ... (x) U_n is held as its factors, an array of
-shape (n, 2, 2), as ``maximize_objective`` returns it.  The library only
-maximizes the objective and reads the end overlaps from its own
-contraction; these apply a known U gate by gate and evaluate it, so tests
+shape (n, 2, 2), as ``decide``'s report carries it and
+``criterion.maximize_objective`` returns it.  The library only maximizes the
+objective and reads the end overlaps from its own contraction; these apply a known U gate by gate and evaluate it, so tests
 can check the search and the variance against them.  The gate is also what
 ``klyshko_reference`` builds its literal recursion from.
 """

@@ -26,7 +26,6 @@ PUBLIC = [
     "MKMeanResult",
     "MKOperator",
     "MeasurementSettings",
-    "ObjectiveResult",
     "OptimizerConfig",
     "OptimizerMetadata",
     "OracleVerdict",
@@ -38,7 +37,6 @@ PUBLIC = [
     "ghz",
     "is_product_oracle",
     "max_mk_mean",
-    "maximize_objective",
     "random_product_state",
     "random_state",
     "reduced_density",

@@ -22,12 +22,11 @@ import pytest
 from mkvariance import (
     OptimizerConfig,
     generalized_ghz,
-    maximize_objective,
     random_product_state,
     random_state,
 )
 from mkvariance.ascent import VALUE_TOLERANCE
-from mkvariance.criterion import _phase_fixed
+from mkvariance.criterion import _phase_fixed, maximize_objective
 
 from overlap_reference import rotate
 

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mkvariance import PureState, canonical_settings, cli, generalized_ghz, is_product_oracle, random_state
+from mkvariance import (
+    PureState, canonical_settings, cli, decide, generalized_ghz, is_product_oracle, random_product_state, random_state)
 from mkvariance.cli import load_state_file, main, write_state_file
 
 from klyshko_reference import dense_pair, random_settings, swapped
@@ -70,6 +71,20 @@ def test_decide_emits_basin_count_and_convergence(tmp_path, capsys):
     assert optimizer["best_start"] == 0
     assert optimizer["total_sweeps"] >= 1
     assert optimizer["converged"] is True
+
+
+def test_decide_writes_the_reports_factors_bit_for_bit(tmp_path, capsys):
+    # decision.factors is indexed [qubit][row][col] and holds [re, im]
+    # pairs; json writes each float with repr, so the array reads back exact.
+    states = [random_state(5, 3), random_product_state(5, 3), generalized_ghz(3, 0.0), near_product_state(4, 10, 1e-6)]
+    for k, psi in enumerate(states):
+        path = state_file(tmp_path, psi, f"state{k}.json")
+        code, out, _ = run_cli(capsys, ["decide", path])
+        assert code in (0, 1)
+        written = np.array(json.loads(out)["decision"]["factors"])
+        factors = decide(load_state_file(path)[0]).factors
+        assert written.shape == (psi.n, 2, 2, 2)
+        assert written.tobytes() == np.stack((factors.real, factors.imag), axis=-1).tobytes()
 
 
 # A child that runs the CLI module as ``python -m mkvariance.cli`` would, then

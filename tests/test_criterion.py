@@ -9,7 +9,7 @@ two-qubit singlet.
 import functools
 import math
 import tracemalloc
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +24,6 @@ from mkvariance import (
     ghz,
     is_product_oracle,
     max_mk_mean,
-    maximize_objective,
     random_product_state,
     random_state,
     reduced_density,
@@ -33,7 +32,8 @@ from mkvariance import (
 from mkvariance import ascent, bell, criterion
 from mkvariance.ascent import VALUE_TOLERANCE, _ascend_batch
 from mkvariance.cli import decision_json
-from mkvariance.criterion import _end_values, _objective, _overlaps, _phase_fixed, _rows, _sweep
+from mkvariance.criterion import (
+    _end_values, _objective, _overlaps, _phase_fixed, _rows, _sweep, maximize_objective)
 from mkvariance.oracle import random_product_factors
 
 from overlap_reference import (
@@ -597,40 +597,78 @@ def closed_form_state(kind, n, k):
 
 @pytest.mark.parametrize("kind, n", CLOSED_FORM_STATES)
 def test_maximizer_factors_are_a_read_only_local_unitary(kind, n):
-    # The search builds each factor from a unit row and checks nothing at
-    # run time, so its output is checked here.
+    # The search and decide build each factor from a unit row and check
+    # nothing at run time, so their output is checked here.
     for k in range(3):
         psi, config = closed_form_state(kind, n, k)
-        factors = maximize_objective(psi, config).factors
-        assert factors.shape == (n, 2, 2) and factors.dtype == complex
+        for factors in (maximize_objective(psi, config).factors, decide(psi, config).factors):
+            assert factors.shape == (n, 2, 2) and factors.dtype == complex
+            assert not factors.flags.writeable
+            local_unitary(factors)
+            overlaps = _overlaps(psi.amplitudes, factors[None])[0]
+            assert np.all(np.abs(overlaps.imag) <= 1e-15) and np.all(overlaps.real >= -1e-15)
+
+
+@functools.cache
+def wide_shell_states():
+    """The states ``near_product_state(n, seed, eps)`` at n = 3-8, seeds
+    0-39 and eps = 1e-6, 2e-6 whose certificate settles nothing."""
+    candidates = [near_product_state(n, seed, eps) for n in range(3, 9) for seed in range(40) for eps in (1e-6, 2e-6)]
+    return tuple(psi for psi in candidates if decide(psi).certificate.settles is None)
+
+
+REPORT_STATES = {
+    "haar": lambda: [random_state(n, 60 * n + k) for n in range(2, 11) for k in range(6)],
+    "product": lambda: [random_product_state(n, 60 * n + k) for n in range(2, 11) for k in range(6)],
+    "ghz": lambda: [generalized_ghz(n, k * math.pi / 16) for n in range(2, 11) for k in range(5)],
+    "shell": wide_shell_states,
+}
+
+
+@pytest.mark.parametrize("kind", REPORT_STATES)
+def test_a_report_carries_the_local_unitary_it_was_read_at(kind):
+    # The paper's equality at the reported U: every report's factors are a
+    # local unitary that gives its objective value and its phase-fixed end
+    # overlaps alpha and beta, gate by gate; a "product" report's U brings
+    # the matrix-free variance within tau of the ceiling.  Generalized GHZ
+    # runs phi = 0 (a product state) to pi/4 (GHZ).
+    states = REPORT_STATES[kind]()
+    assert len(states) >= 45
+    verdicts = set()
+    for psi in states:
+        report = decide(psi)
+        factors = report.factors
+        assert factors.shape == (psi.n, 2, 2) and factors.dtype == complex
         assert not factors.flags.writeable
-        local_unitary(factors)
-        overlaps = _overlaps(psi.amplitudes, factors[None])[0]
-        assert np.all(np.abs(overlaps.imag) <= 1e-15) and np.all(overlaps.real >= -1e-15)
+        assert np.max(np.abs(factors.conj().swapaxes(1, 2) @ factors - np.eye(2))) <= 1e-12
+        assert abs(objective(psi, factors) - report.objective_value) <= 1e-12
+        rotated = rotate(psi, factors)
+        assert report.alpha >= 0 and report.beta >= 0
+        assert abs(rotated[0] - report.alpha) <= 1e-12 and abs(rotated[-1] - report.beta) <= 1e-12
+        if report.verdict == "product":
+            assert conjugated_variance(psi, factors) >= report.bound * (1 - report.tau)
+        assert (report.certificate.settles is None) == (kind == "shell")
+        verdicts.add(report.verdict)
+    assert verdicts == {"haar": {"entangled"}, "product": {"product"}, "ghz": {"entangled", "product"},
+                        "shell": {"entangled"}}[kind]
 
 
 @pytest.mark.parametrize("kind, n", CLOSED_FORM_STATES + [pytest.param("shell", None, id="shell")])
-def test_decide_variance_matches_matrix_free_operator(kind, n, monkeypatch):
+def test_decide_variance_matches_matrix_free_operator(kind, n):
     # decide's variance comes from the two end overlaps alone; the
     # reference applies the canonical MK operator matrix-free, at the U the
-    # report used: the witness when the certificate settles, else the end
-    # point of the ascent from the witness, read from a spy on the driver.
-    ends = []
-    monkeypatch.setattr(criterion, "_ascend_batch", lambda *args: ends.append(args[3]) or _ascend_batch(*args))
+    # report carries: the witness when the certificate settles, else the end
+    # point of the ascent from the witness.
     if kind == "shell":
         cases = [(psi, None) for psi in shell_states()[::10]]
     else:
         cases = [closed_form_state(kind, n, k) for k in range(3)]
     for psi, config in cases:
-        ends.clear()
         report = decide(psi, config)
         bound = report.bound
+        unitary = report.factors
         assert (report.certificate.settles is None) == (kind == "shell")
-        if report.certificate.settles:
-            unitary = criterion._witness(psi)[0]
-        else:
-            (rows,) = ends
-            unitary = _phase_fixed(psi.amplitudes, rows[0])[0]
+        if not report.certificate.settles:
             # The multi-start maximizer may be the all-qubit flip of that end
             # point, which swaps alpha and beta and leaves the variance: it
             # must give the same variance and the same unordered pair.  The
@@ -917,17 +955,13 @@ def test_a_shell_verdict_is_the_search_verdict():
         assert report.verdict == search_verdict(psi)
 
 
-def test_forced_sweeps_past_the_shell_ascent_leave_the_variance(monkeypatch):
-    # 200 more sweeps from decide's end point, with no stopping rule, move
-    # the phase-fixed variance by at most 1e-10 of the bound.
-    ends = []
-    monkeypatch.setattr(criterion, "_ascend_batch",
-                        lambda *args: ends.append(args[3]) or _ascend_batch(*args))
+def test_forced_sweeps_past_the_shell_ascent_leave_the_variance():
+    # 200 more sweeps from decide's end point, the report's factors, with no
+    # stopping rule, move the phase-fixed variance by at most 1e-10 of the
+    # bound.
     for psi in shell_states():
-        ends.clear()
         report = decide(psi)
-        (rows,) = ends
-        assert rows.shape[0] == 1
+        rows = report.factors[None].copy()
         for _ in range(200):
             rows, _ = _sweep(psi.amplitudes, rows)
         _, delta = _end_values(*_phase_fixed(psi.amplitudes, rows[0])[1:], report.bound)
@@ -935,11 +969,15 @@ def test_forced_sweeps_past_the_shell_ascent_leave_the_variance(monkeypatch):
 
 
 def test_a_shell_report_does_not_depend_on_the_seed_or_the_start_count():
+    # Every field is compared: the array ``factors`` elementwise, the others
+    # with ==, which an array field would make ambiguous.
     for psi in shell_states()[::25]:
         report = decide(psi)
         for seed in (0, 1, 7):
             for starts in (None, 1, 4, 50):
-                assert decide(psi, OptimizerConfig(seed=seed, starts=starts)) == report
+                other = decide(psi, OptimizerConfig(seed=seed, starts=starts))
+                np.testing.assert_array_equal(other.factors, report.factors)
+                assert replace(other, factors=None) == replace(report, factors=None)
 
 
 def test_decide_never_runs_the_multi_start_search(monkeypatch):

@@ -21,11 +21,11 @@ from mkvariance import (
     ghz,
     generalized_ghz,
     max_mk_mean,
-    maximize_objective,
     random_product_state,
     random_state,
     reduced_density,
 )
+from mkvariance.criterion import maximize_objective
 from mkvariance.oracle import random_product_factors
 
 from overlap_reference import apply_single_qubit
